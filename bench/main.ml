@@ -351,6 +351,11 @@ let time_gc f =
     g1.Gc.minor_words -. g0.Gc.minor_words,
     g1.Gc.major_collections - g0.Gc.major_collections )
 
+let median xs =
+  match List.sort compare xs with
+  | [] -> 0.
+  | s -> List.nth s (List.length s / 2)
+
 let bench_explore ~quick ~check ~force_jobs =
   let max_execs = if quick then 2_000 else 20_000 in
   let scenarios =
@@ -380,7 +385,8 @@ let bench_explore ~quick ~check ~force_jobs =
   and inc_speedups = ref []
   and flat_ratios = ref []
   and reduction_gaps = ref []
-  and scale4 = ref [] in
+  and scale4 = ref []
+  and forced_rows = ref false in
   let run_row (r : Explore.report) (t, minor, majors) extra =
     let per_exec x = x /. float_of_int (max 1 r.Explore.executions) in
     Jsonout.Obj
@@ -443,8 +449,10 @@ let bench_explore ~quick ~check ~force_jobs =
         if jobs = 4 && domains >= 4 && !pdfs_jobs1_t > 0. && t > 0. then
           scale4 := (name, !pdfs_jobs1_t /. t) :: !scale4;
         let forced =
-          if jobs > 1 && domains < jobs then
+          if jobs > 1 && domains < jobs then begin
+            forced_rows := true;
             [ ("forced", Jsonout.Bool true) ]
+          end
           else []
         in
         match run_row r (t, mw, mc) (speedup t :: forced) with
@@ -515,9 +523,10 @@ let bench_explore ~quick ~check ~force_jobs =
       ("IRIW", Litmus.iriw);
     ]
   in
-  let rf_gate = ref [] in
+  let rf_gate = ref [] and rf_key_gate = ref [] in
   let rf_row (name, (mk : unit -> Litmus.t)) =
     let classes = Hashtbl.create 64 in
+    let logs = ref [] in
     let t = mk () in
     let censused =
       {
@@ -529,14 +538,15 @@ let bench_explore ~quick ~check ~force_jobs =
               (match outcome with
               | Machine.Pruned -> ()
               | _ ->
-                  Hashtbl.replace classes
-                    (Explore.rf_class_key ~outcome (Machine.accesses m))
-                    ());
+                  let log = Machine.accesses m in
+                  logs := (outcome, log) :: !logs;
+                  Hashtbl.replace classes (Explore.rf_class_key ~outcome log) ());
               judge outcome);
       }
     in
     let full = Explore.dfs ~config:census_config ~max_execs censused in
     let rf_classes = Hashtbl.length classes in
+    let logs = !logs in
     let ok_dpor, dpor, _ =
       Litmus.verdict ~max_execs ~reduce:Machine.RDpor (mk ())
     in
@@ -544,10 +554,45 @@ let bench_explore ~quick ~check ~force_jobs =
       time_gc (fun () ->
           Litmus.verdict ~max_execs ~reduce:Machine.RDporRf (mk ()))
     in
+    let launched =
+      rf.Explore.executions + rf.Explore.rf_pruned + rf.Explore.dpor_pruned
+    in
+    (* The key's cost per call, over this row's census executions, and
+       dpor-rf's time per launched run, both steady state: 21 rounds, each
+       timing ~1000 key calls and then one more dpor-rf search, each on an
+       emptied minor heap, so host speed drift hits both sides alike;
+       medians of each. *)
+    let calls_per_pass = max 1 (List.length logs) in
+    let passes = max 1 (1_000 / calls_per_pass) in
+    let rounds =
+      List.init 21 (fun _ ->
+          Gc.minor ();
+          let (), key_t, _, _ =
+            time_gc (fun () ->
+                for _ = 1 to passes do
+                  List.iter
+                    (fun (outcome, log) ->
+                      ignore
+                        (Sys.opaque_identity
+                           (Explore.rf_class_key ~outcome log)))
+                    logs
+                done)
+          in
+          Gc.minor ();
+          let _, run_t, _, _ =
+            time_gc (fun () ->
+                Litmus.verdict ~max_execs ~reduce:Machine.RDporRf (mk ()))
+          in
+          ( key_t *. 1e6 /. float_of_int (passes * calls_per_pass),
+            run_t *. 1e6 /. float_of_int (max 1 launched) ))
+    in
+    let key_us = median (List.map fst rounds) in
+    let launch_us = median (List.map snd rounds) in
     rf_gate :=
       (name, ok_dpor, ok_rf, dpor.Explore.executions, rf.Explore.executions,
        rf_classes, full.Explore.complete && rf.Explore.complete)
       :: !rf_gate;
+    rf_key_gate := (name, key_us, launch_us) :: !rf_key_gate;
     Jsonout.Obj
       [
         ("name", Jsonout.Str name);
@@ -560,6 +605,9 @@ let bench_explore ~quick ~check ~force_jobs =
         ("verdict_dpor_rf", Jsonout.Bool ok_rf);
         ("complete", Jsonout.Bool (full.Explore.complete && rf.Explore.complete));
         ("seconds_dpor_rf", Jsonout.Float rf_t);
+        ("launched_dpor_rf", Jsonout.Int launched);
+        ("us_per_launch_dpor_rf", Jsonout.Float launch_us);
+        ("rf_key_us_per_call", Jsonout.Float key_us);
         ( "reduction_factor_vs_dpor",
           Jsonout.Float
             (float_of_int (max 1 dpor.Explore.executions)
@@ -580,16 +628,19 @@ let bench_explore ~quick ~check ~force_jobs =
                ("ocaml", Jsonout.Str Sys.ocaml_version);
              ]
             @
-            if domains >= 4 then []
+            (* Only rows forced past the host's domain count are
+               correctness-only; a jobs=2 row on a 2-domain host is a
+               real measurement. *)
+            if not !forced_rows then []
             else
               [
                 ( "scaling_note",
                   Jsonout.Str
                     (Printf.sprintf
-                       "host recommends %d domain(s): multi-domain rows are \
-                        correctness measurements only (forced via \
-                        --force-jobs), and pdfs speedup cannot be expressed \
-                        on this hardware"
+                       "host recommends %d domain(s): pdfs rows marked \
+                        \"forced\" ran more jobs than that (via \
+                        --force-jobs) and are correctness measurements \
+                        only, not speedups"
                        domains) );
               ]) );
         ("scenarios", Jsonout.List (List.map scenario_json scenarios));
@@ -713,6 +764,24 @@ let bench_explore ~quick ~check ~force_jobs =
              %d)@."
             name ex_rf classes ex_dpor)
       (List.rev !rf_gate);
+    (* The rf-class key is paid by every launched dpor-rf run, kept or
+       discarded: it must cost at most half of a launched run. *)
+    let max_key_share = 0.5 in
+    List.iter
+      (fun (name, key_us, launch_us) ->
+        if key_us > max_key_share *. launch_us then begin
+          Format.printf
+            "perf-smoke FAILED: rf_class_key %.2f us/call > %.1f x dpor-rf's \
+             %.2f us per launched run on %s@."
+            key_us max_key_share launch_us name;
+          failed := true
+        end
+        else
+          Format.printf
+            "perf-smoke: rf_class_key %.2f us/call <= %.1f x dpor-rf's %.2f \
+             us per launched run on %s@."
+            key_us max_key_share launch_us name)
+      (List.rev !rf_key_gate);
     (* trace-compat: a pinned legacy v1 witness script must parse, lift,
        round-trip through the v2 line format, and replay to the
        byte-identical outcome. *)
@@ -808,11 +877,6 @@ let bench_fuzz ~quick ~check =
     ]
   in
   let modes = [ Fz.Fuzz.Uniform; Fz.Fuzz.Pct; Fz.Fuzz.Guided ] in
-  let median xs =
-    match List.sort compare xs with
-    | [] -> 0.
-    | s -> List.nth s (List.length s / 2)
-  in
   let medians = Hashtbl.create 16 in
   let target_json (tname, mk) =
     let mode_json mode =

@@ -224,70 +224,161 @@ let to_report ?distinct ~name ~complete st =
    produce the same key no matter how the scheduler interleaved them —
    timestamps are canonicalised to their rank among the location's
    observed timestamps, so the key is mo-based even under the [`Gap]
-   placement policy where raw timestamp values are placement-dependent. *)
+   placement policy where raw timestamp values are placement-dependent.
+
+   [dpor-rf] keys every launched run, duplicates included, so the key is
+   built over flat int arrays: one pass over the log records each
+   access's thread and location and collects the sorted distinct threads
+   and locations; each location's observed timestamps then go into its
+   own sorted segment (mo rank = position in that segment), a counting
+   sort groups the accesses by thread in program order, and ints are
+   written digit by digit into one buffer.  The test suite keeps the
+   original list-and-Hashtbl version as the byte-for-byte oracle. *)
+
+(* First index [i] in [lo, lo + len) with [a.(i) >= x] (sorted [a]). *)
+let lower_bound (a : int array) lo len x =
+  let lo = ref lo and hi = ref (lo + len) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Add [x] to the sorted set [a.(lo) .. a.(lo + len - 1)], which has room
+   for one more element; the new length. *)
+let insert_sorted (a : int array) lo len x =
+  let hi = lo + len in
+  if len = 0 || a.(hi - 1) < x then begin
+    (* the common case: timestamps and block ids mostly arrive ascending *)
+    a.(hi) <- x;
+    len + 1
+  end
+  else
+    let i = lower_bound a lo len x in
+    if a.(i) = x then len
+    else begin
+      Array.blit a i a (i + 1) (hi - i);
+      a.(i) <- x;
+      len + 1
+    end
+
+(* Decimal digits of [n <= 0] without its sign, written from the
+   non-positive side so [min_int] needs no special case. *)
+let rec add_nonpos_digits buf n =
+  if n <= -10 then add_nonpos_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpos_digits buf n
+  end
+  else add_nonpos_digits buf (-n)
 
 let rf_class_key ~(outcome : Machine.outcome) accesses =
-  let module Loc = Compass_rmc.Loc in
-  let module Mode = Compass_rmc.Mode in
-  (* timestamps observed per location, then ranked *)
-  let per_loc : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let note loc ts =
-    let k = Loc.key loc in
-    match Hashtbl.find_opt per_loc k with
-    | Some l -> l := ts :: !l
-    | None -> Hashtbl.add per_loc k (ref [ ts ])
+  let acc = Array.of_list accesses in
+  let n = Array.length acc in
+  let tid = Array.make n 0 and lockey = Array.make n 0 in
+  let tids = Array.make n 0 and ntids = ref 0 in
+  let locs = Array.make n 0 and nlocs = ref 0 in
+  for i = 0 to n - 1 do
+    match acc.(i) with
+    | Access.Access r ->
+        tid.(i) <- r.tid;
+        ntids := insert_sorted tids 0 !ntids r.tid;
+        let k = Compass_rmc.Loc.key r.loc in
+        lockey.(i) <- k;
+        nlocs := insert_sorted locs 0 !nlocs k
+    | Access.Fence f ->
+        tid.(i) <- f.tid;
+        ntids := insert_sorted tids 0 !ntids f.tid
+  done;
+  (* Per location [s], its distinct observed timestamps, ascending, in
+     [dts.(start.(s)) .. dts.(start.(s) + dlen.(s) - 1)]: a timestamp's
+     mo rank is its position there. *)
+  let nl = !nlocs in
+  let locslot = Array.make n 0 and start = Array.make (nl + 1) 0 in
+  let observed = function Some _ -> 1 | None -> 0 in
+  for i = 0 to n - 1 do
+    match acc.(i) with
+    | Access.Access r ->
+        let s = lower_bound locs 0 nl lockey.(i) in
+        locslot.(i) <- s;
+        start.(s + 1) <-
+          start.(s + 1) + observed r.read_ts + observed r.write_ts
+    | Access.Fence _ -> ()
+  done;
+  for s = 1 to nl do
+    start.(s) <- start.(s) + start.(s - 1)
+  done;
+  let dts = Array.make start.(nl) 0 and dlen = Array.make nl 0 in
+  let note s = function
+    | Some ts -> dlen.(s) <- insert_sorted dts start.(s) dlen.(s) ts
+    | None -> ()
   in
-  List.iter
-    (function
-      | Access.Access r ->
-          (match r.read_ts with Some ts -> note r.loc ts | None -> ());
-          (match r.write_ts with Some ts -> note r.loc ts | None -> ())
-      | Access.Fence _ -> ())
-    accesses;
-  let rank : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun k tss ->
-      List.iteri
-        (fun i ts -> Hashtbl.replace rank (k, ts) i)
-        (List.sort_uniq compare !tss))
-    per_loc;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Format.asprintf "%a" Machine.pp_outcome outcome);
-  let tids =
-    List.sort_uniq compare (List.map Access.tid accesses)
+  for i = 0 to n - 1 do
+    match acc.(i) with
+    | Access.Access r ->
+        note locslot.(i) r.read_ts;
+        note locslot.(i) r.write_ts
+    | Access.Fence _ -> ()
+  done;
+  let rank i ts =
+    let s = locslot.(i) in
+    lower_bound dts start.(s) dlen.(s) ts - start.(s)
   in
-  List.iter
-    (fun tid ->
-      Buffer.add_string buf (Printf.sprintf "|T%d:" tid);
-      List.iter
-        (fun a ->
-          if Access.tid a = tid then
-            match a with
-            | Access.Access r ->
-                let k = Loc.key r.loc in
-                Buffer.add_string buf
-                  (Format.asprintf "%c%d%a"
-                     (match r.kind with
-                     | Access.Load -> 'L'
-                     | Access.Store -> 'S'
-                     | Access.Update -> 'U')
-                     k Mode.pp_access r.mode);
-                (match r.read_ts with
-                | Some ts ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "r%d" (Hashtbl.find rank (k, ts)))
-                | None -> ());
-                (match r.write_ts with
-                | Some ts ->
-                    Buffer.add_string buf
-                      (Printf.sprintf "w%d" (Hashtbl.find rank (k, ts)))
-                | None -> ());
-                Buffer.add_char buf ';'
-            | Access.Fence f ->
-                Buffer.add_string buf
-                  (Format.asprintf "F%a;" Mode.pp_fence f.fence))
-        accesses)
-    tids;
+  (* Counting sort by thread: [order] lists the accesses grouped by
+     ascending tid, each thread's in program (log) order. *)
+  let nt = !ntids in
+  let tslot = Array.make n 0 and next = Array.make (nt + 1) 0 in
+  for i = 0 to n - 1 do
+    let s = lower_bound tids 0 nt tid.(i) in
+    tslot.(i) <- s;
+    next.(s + 1) <- next.(s + 1) + 1
+  done;
+  for s = 1 to nt do
+    next.(s) <- next.(s) + next.(s - 1)
+  done;
+  let order = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let s = tslot.(i) in
+    order.(next.(s)) <- i;
+    next.(s) <- next.(s) + 1
+  done;
+  let buf = Buffer.create (32 + (16 * n)) in
+  Buffer.add_string buf (Machine.outcome_to_string outcome);
+  for j = 0 to n - 1 do
+    let i = order.(j) in
+    if j = 0 || tid.(order.(j - 1)) <> tid.(i) then begin
+      Buffer.add_string buf "|T";
+      add_int buf tid.(i);
+      Buffer.add_char buf ':'
+    end;
+    match acc.(i) with
+    | Access.Access r ->
+        Buffer.add_char buf
+          (match r.kind with
+          | Access.Load -> 'L'
+          | Access.Store -> 'S'
+          | Access.Update -> 'U');
+        add_int buf lockey.(i);
+        Buffer.add_string buf (Compass_rmc.Mode.access_to_string r.mode);
+        (match r.read_ts with
+        | Some ts ->
+            Buffer.add_char buf 'r';
+            add_int buf (rank i ts)
+        | None -> ());
+        (match r.write_ts with
+        | Some ts ->
+            Buffer.add_char buf 'w';
+            add_int buf (rank i ts)
+        | None -> ());
+        Buffer.add_char buf ';'
+    | Access.Fence f ->
+        Buffer.add_char buf 'F';
+        Buffer.add_string buf (Compass_rmc.Mode.fence_to_string f.fence);
+        Buffer.add_char buf ';'
+  done;
   Buffer.contents buf
 
 (* -- the DFS engine ----------------------------------------------------------

@@ -112,7 +112,27 @@ val rf_class_key : outcome:Machine.outcome -> Access.t list -> string
     raw timestamps, so the key is placement-independent under the [`Gap]
     policy).  Two interleavings get equal keys iff they realise the same
     execution graph (same per-thread accesses, rf edges and mo order).
-    Requires the access log ([record_accesses]). *)
+    Requires the access log ([record_accesses]).
+
+    The byte format (the rf census and the tests compare keys as
+    strings):
+{v
+key    ::= outcome thread*            threads by ascending tid
+outcome::= Machine.outcome_to_string  e.g. finished((),0)  fault: ...
+thread ::= "|T" tid ":" event*        tid may be -1 (the init writes)
+event  ::= kind lockey mode ["r" rank] ["w" rank] ";"
+         | "F" fence ";"
+kind   ::= "L" | "S" | "U"            load, store, update (RMW)
+lockey ::= Loc.key, in decimal
+mode   ::= na | rlx | acq | rel | acq_rel          (Mode.access_to_string)
+fence  ::= fence_acq | fence_rel | fence_acq_rel | fence_sc
+rank   ::= position of the timestamp among the distinct timestamps
+           observed at that location in this log (0 = oldest)
+v}
+    Events keep log order within a thread, which is program order;
+    [r] is present iff the access read a message, [w] iff it wrote one.
+    For example, CoRR's first execution keys as
+    [finished((),0)|T-1:S0naw0;|T0:S0rlxw1;S0rlxw2;|T1:L0rlxr0;L0rlxr0;]. *)
 
 val default_stride : int
 (** decisions between checkpoints in the incremental engine (1: checkpoint

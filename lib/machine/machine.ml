@@ -58,17 +58,25 @@ type outcome =
           execution below this point is a commuted copy of one already
           explored *)
 
-let pp_outcome ppf = function
+(* The outcome text, built without [Format]: {!Explore.rf_class_key}
+   starts every key with it, once per launched [dpor-rf] run. *)
+let outcome_to_string = function
   | Finished vs ->
-      Format.fprintf ppf "finished(%a)"
-        (Format.pp_print_seq
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-           Value.pp)
-        (Array.to_seq vs)
-  | Fault s -> Format.fprintf ppf "fault: %s" s
-  | Blocked s -> Format.fprintf ppf "blocked: %s" s
-  | Bounded -> Format.pp_print_string ppf "bounded"
-  | Pruned -> Format.pp_print_string ppf "pruned"
+      let b = Buffer.create 32 in
+      Buffer.add_string b "finished(";
+      Array.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_string b (Value.to_string v))
+        vs;
+      Buffer.add_char b ')';
+      Buffer.contents b
+  | Fault s -> "fault: " ^ s
+  | Blocked s -> "blocked: " ^ s
+  | Bounded -> "bounded"
+  | Pruned -> "pruned"
+
+let pp_outcome ppf o = Format.pp_print_string ppf (outcome_to_string o)
 
 (* Footprints (for partial-order reduction) are {!Deps.footprint},
    re-exported so existing users keep constructing them unqualified; the

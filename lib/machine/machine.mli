@@ -53,6 +53,10 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
+val outcome_to_string : outcome -> string
+(** the text {!pp_outcome} prints, e.g. ["finished((),0)"],
+    ["fault: data race on node"], ["bounded"] *)
+
 type reduction =
   | RNone  (** explore every interleaving the oracle asks for *)
   | RSleep

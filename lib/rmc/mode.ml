@@ -28,21 +28,20 @@ let valid_load = function Na | Rlx | Acq -> true | Rel | AcqRel -> false
 let valid_store = function Na | Rlx | Rel -> true | Acq | AcqRel -> false
 let valid_rmw = function Rlx | Acq | Rel | AcqRel -> true | Na -> false
 
-let pp_access ppf m =
-  Format.pp_print_string ppf
-    (match m with
-    | Na -> "na"
-    | Rlx -> "rlx"
-    | Acq -> "acq"
-    | Rel -> "rel"
-    | AcqRel -> "acq_rel")
+(* Constant strings: the rf-class key writes these per access, so they
+   must not allocate. *)
+let access_to_string = function
+  | Na -> "na"
+  | Rlx -> "rlx"
+  | Acq -> "acq"
+  | Rel -> "rel"
+  | AcqRel -> "acq_rel"
 
-let pp_fence ppf f =
-  Format.pp_print_string ppf
-    (match f with
-    | F_acq -> "fence_acq"
-    | F_rel -> "fence_rel"
-    | F_acqrel -> "fence_acq_rel"
-    | F_sc -> "fence_sc")
+let fence_to_string = function
+  | F_acq -> "fence_acq"
+  | F_rel -> "fence_rel"
+  | F_acqrel -> "fence_acq_rel"
+  | F_sc -> "fence_sc"
 
-let access_to_string m = Format.asprintf "%a" pp_access m
+let pp_access ppf m = Format.pp_print_string ppf (access_to_string m)
+let pp_fence ppf f = Format.pp_print_string ppf (fence_to_string f)

@@ -29,3 +29,7 @@ val valid_rmw : access -> bool
 val pp_access : Format.formatter -> access -> unit
 val pp_fence : Format.formatter -> fence -> unit
 val access_to_string : access -> string
+(** the {!pp_access} text, as a shared constant (no allocation) *)
+
+val fence_to_string : fence -> string
+(** the {!pp_fence} text, as a shared constant (no allocation) *)

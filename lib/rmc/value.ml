@@ -41,17 +41,19 @@ let compare a b =
   | Ptr x, Ptr y -> Loc.compare x y
   | _ -> Int.compare (tag a) (tag b)
 
-let pp ppf = function
-  | Int n -> Format.fprintf ppf "%d" n
-  | Ptr l -> Format.fprintf ppf "&%a" Loc.pp l
-  | Null -> Format.pp_print_string ppf "null"
-  | Unit -> Format.pp_print_string ppf "()"
-  | Sentinel -> Format.pp_print_string ppf "SENTINEL"
-  | Taken -> Format.pp_print_string ppf "TAKEN"
-  | Fail -> Format.pp_print_string ppf "FAIL_RACE"
-  | Poison -> Format.pp_print_string ppf "POISON"
+(* Direct strings, no [Format]: outcome tags embed these, and
+   {!Compass_machine.Explore.rf_class_key} builds one per launched run. *)
+let to_string = function
+  | Int n -> string_of_int n
+  | Ptr l -> "&" ^ Loc.to_string l
+  | Null -> "null"
+  | Unit -> "()"
+  | Sentinel -> "SENTINEL"
+  | Taken -> "TAKEN"
+  | Fail -> "FAIL_RACE"
+  | Poison -> "POISON"
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 let int n = Int n
 
 let to_int_exn = function

@@ -304,6 +304,9 @@ let to_json r =
                  [
                    ("client", Jsonout.Str row.c_id);
                    ("executions", Jsonout.Int row.c_report.Explore.executions);
+                   ( "dpor_pruned",
+                     Jsonout.Int row.c_report.Explore.dpor_pruned );
+                   ("rf_pruned", Jsonout.Int row.c_report.Explore.rf_pruned);
                    ("complete", Jsonout.Bool row.c_report.Explore.complete);
                    ("ok", Jsonout.Bool row.c_ok);
                  ])

@@ -87,3 +87,7 @@ val client_scenario :
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> Compass_util.Jsonout.t
+(** the report as JSON.  Each [clients[]] row carries the client's
+    [executions], [dpor_pruned] and [rf_pruned] counts from its
+    {!Explore.report}; under [dpor] and [dpor-rf] their sum is the runs
+    the client launched. *)

@@ -15,6 +15,7 @@ let () =
       ("decision", Test_decision.suite);
       ("explore", Test_explore.suite);
       ("dpor", Test_dpor.suite);
+      ("rfkey", Test_rfkey.suite);
       ("fuzz", Test_fuzz.suite);
       ("event", Test_event.suite);
       ("order", Test_order.suite);

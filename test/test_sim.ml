@@ -5,6 +5,7 @@ open Compass_spec
 open Compass_dstruct
 open Compass_clients
 open Compass_sim
+open Compass_util
 open Helpers
 
 (* The forward-simulation checker and the most-general-client generator:
@@ -441,6 +442,77 @@ let test_sim_verdict_invariance () =
         ])
     [ "lock-queue"; "ms-weak" ]
 
+(* [sim --json] per-client rows carry the pruned counts of their
+   report, and under dpor-rf they account for every launched run:
+   replaying the client from the root builds the scenario once per run,
+   so counting builds counts launches independently of the report. *)
+let test_sim_json_pruned_counts () =
+  let e = entry "treiber" in
+  let options =
+    {
+      (quick_options 2) with
+      reduce = Machine.RDporRf;
+      incremental = false;
+      max_execs = 5_000;
+    }
+  in
+  let r = Sim.run ~options e in
+  let json_rows =
+    match Sim.to_json r with
+    | Jsonout.Obj fields -> (
+        match List.assoc "clients" fields with
+        | Jsonout.List rows -> rows
+        | _ -> Alcotest.fail "clients is not a list")
+    | _ -> Alcotest.fail "sim report is not an object"
+  in
+  Alcotest.(check int) "one JSON row per client" (List.length r.Sim.rows)
+    (List.length json_rows);
+  let field row name =
+    match row with
+    | Jsonout.Obj fields -> (
+        match List.assoc_opt name fields with
+        | Some (Jsonout.Int n) -> n
+        | _ -> Alcotest.failf "client row lacks int field %s" name)
+    | _ -> Alcotest.fail "client row is not an object"
+  in
+  let rf_total = ref 0 in
+  List.iter2
+    (fun (row : Sim.client_row) json ->
+      let rep = row.Sim.c_report in
+      let id = row.Sim.c_id in
+      Alcotest.(check int) (id ^ ": dpor_pruned") rep.Explore.dpor_pruned
+        (field json "dpor_pruned");
+      Alcotest.(check int) (id ^ ": rf_pruned") rep.Explore.rf_pruned
+        (field json "rf_pruned");
+      rf_total := !rf_total + field json "rf_pruned";
+      let launched = ref 0 in
+      let sc =
+        match Sim.client_scenario ~depth:2 e id with
+        | Some sc -> sc
+        | None -> Alcotest.failf "no scenario for client %s" id
+      in
+      let counted =
+        {
+          sc with
+          Explore.build =
+            (fun m ->
+              incr launched;
+              sc.Explore.build m);
+        }
+      in
+      let again =
+        Explore.dfs ~reduce:Machine.RDporRf ~incremental:false
+          ~max_execs:options.max_execs counted
+      in
+      Alcotest.(check int) (id ^ ": same executions on a rerun")
+        (field json "executions") again.Explore.executions;
+      Alcotest.(check int)
+        (id ^ ": executions + rf_pruned = launched - dpor_pruned")
+        (!launched - field json "dpor_pruned")
+        (field json "executions" + field json "rf_pruned"))
+    r.Sim.rows json_rows;
+  Alcotest.(check bool) "some duplicates discarded" true (!rf_total > 0)
+
 let suite =
   [
     Alcotest.test_case "specobj: queue steps are FIFO-legal" `Quick
@@ -477,6 +549,8 @@ let suite =
       test_hw_depth2_weak_empdeq;
     Alcotest.test_case "sim: agrees with outcome-inclusion on the registry"
       `Slow test_sim_agrees_with_refine;
+    Alcotest.test_case "sim --json: per-client pruned counts" `Quick
+      test_sim_json_pruned_counts;
     Alcotest.test_case "sim: verdict invariant under reduce/incremental/jobs"
       `Slow test_sim_verdict_invariance;
   ]
