@@ -314,7 +314,7 @@ let scaling =
    - "incremental_dpor"    — the same engine under source-DPOR with
                              wakeup sequences (strictly fewer executions
                              than sleep sets on a complete search);
-   - "pdfs"                — the sharded parallel driver at 1/2/4 domains
+   - "pdfs"                — the work-stealing driver at 1/2/4 domains
                              (each worker owns a per-domain incremental
                              engine).
 

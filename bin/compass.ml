@@ -27,7 +27,7 @@
 
    Structure keys ([--struct]) resolve through the central spec registry
    (Specreg; [compass specs] lists them).  Every exploring subcommand
-   also takes [--jobs N] (shard the DFS across N domains),
+   also takes [--jobs N] (explore on N domains),
    [--reduce[=sleep|dpor|none]] (partial-order reduction: sleep sets or
    source-DPOR with wakeup sequences; bare [--reduce] means sleep),
    [--incremental BOOL] (checkpoint/restore exploration, default on;
@@ -50,9 +50,19 @@ module J = Compass_util.Jsonout
 
 (* -- shared arguments --------------------------------------------------------- *)
 
+(* Budgets, job counts and strides below 1 are rejected at parse time: a
+   zero budget would report a pass that explored nothing. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let execs =
   let doc = "Execution budget for exhaustive (DFS) exploration." in
-  Arg.(value & opt int 100_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 100_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
 
 let random_mode =
   let doc = "Use seeded random sampling instead of exhaustive DFS." in
@@ -64,10 +74,10 @@ let seed =
 
 let jobs =
   let doc =
-    "Shard the exhaustive DFS across $(docv) domains (parallel \
-     exploration; 1 = the sequential driver)."
+    "Explore on $(docv) domains, which steal subtrees of the search from \
+     each other (1 = no extra domain)."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* [--reduce] history: it began life as a plain flag meaning sleep sets,
    so the converter keeps [true]/[false] as aliases and a bare
@@ -134,7 +144,7 @@ let stride =
   let doc = "Checkpoint every $(docv) decisions in incremental mode." in
   Arg.(
     value
-    & opt int Compass_machine.Explore.default_stride
+    & opt pos_int Compass_machine.Explore.default_stride
     & info [ "stride" ] ~docv:"N" ~doc)
 
 let queue_arg =
@@ -163,9 +173,7 @@ let style_arg =
 
 let run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride sc =
   if random then Explore.random ~execs ~seed sc
-  else if jobs > 1 then
-    Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride sc
-  else Explore.dfs ~max_execs:execs ~reduce ~incremental ~stride sc
+  else Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride sc
 
 let finish report =
   Format.printf "%a@." Explore.pp_report report;
@@ -700,7 +708,7 @@ let sim_cmd =
   in
   let sim_execs =
     let doc = "Exploration budget per generated client." in
-    Arg.(value & opt int 50_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 50_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
   in
   let run struct_opt all client depth execs jobs reduce incremental until
       strict json =
@@ -921,12 +929,8 @@ let axioms_cmd =
     let code = ref 0 in
     let run_sc sc =
       let r =
-        if jobs > 1 then
-          Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride
-            ~config (with_rc11 sc)
-        else
-          Explore.dfs ~max_execs:execs ~reduce ~incremental ~stride ~config
-            (with_rc11 sc)
+        Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride
+          ~config (with_rc11 sc)
       in
       if not (Explore.ok r) then code := 1;
       Format.printf "%-38s %7d executions  %s@." r.Explore.name
@@ -1395,7 +1399,7 @@ let fuzz_cmd =
   in
   let fuzz_execs =
     let doc = "Fuzzing execution budget." in
-    Arg.(value & opt int 4000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 4000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
   in
   let corpus_arg =
     let doc =

@@ -19,8 +19,8 @@ val pp_line : Format.formatter -> line -> unit
 val e1 : ?max_execs:int -> ?jobs:int -> ?reduce:Machine.reduction -> unit -> line list
 (** MP client (Figures 1 and 3) + the weak-flag ablation, per queue.
 
-    Every experiment's exhaustive leg accepts [jobs] (shard the DFS
-    across that many domains, {!Explore.pdfs}) and [reduce] (sleep-set
+    Every experiment's exhaustive leg accepts [jobs] (explore on that
+    many domains, {!Explore.pdfs}) and [reduce] (sleep-set
     or source-DPOR reduction).  Verdicts are preserved either way; with
     [reduce] the
     per-execution client counters quoted in [measured] only cover the

@@ -425,7 +425,7 @@ let all () =
   ]
 
 (* Run one litmus test exhaustively; [Ok] if the expectation holds.
-   [jobs > 1] shards the DFS across domains; [reduce] prunes commuted
+   [jobs > 1] explores on that many domains; [reduce] prunes commuted
    interleavings (the observation count then covers the representatives
    actually explored — the verdict is unaffected, because the
    distinguished outcome is invariant under commuting independent
@@ -434,10 +434,8 @@ let verdict ?(max_execs = 100_000) ?config ?(jobs = 1)
     ?(reduce = Machine.RNone) ?(incremental = true)
     ?(stride = Explore.default_stride) t =
   let report =
-    if jobs > 1 then
-      Explore.pdfs ~jobs ~max_execs ~reduce ~incremental ~stride ?config
-        t.scenario
-    else Explore.dfs ~max_execs ~reduce ~incremental ~stride ?config t.scenario
+    Explore.pdfs ~jobs ~max_execs ~reduce ~incremental ~stride ?config
+      t.scenario
   in
   let obs = !(t.observed) in
   let ok =

@@ -173,11 +173,8 @@ let run ?(options = default_options) (e : Libspec.entry) =
         let tbl, sr = spec_set ~spec_execs:options.spec_execs c in
         let sc = c.impl_sc ~judge:(membership tbl) in
         let r =
-          if options.jobs > 1 then
-            Explore.pdfs ~jobs:options.jobs ~max_execs:options.max_execs
-              ~reduce:options.reduce sc
-          else
-            Explore.dfs ~max_execs:options.max_execs ~reduce:options.reduce sc
+          Explore.pdfs ~jobs:options.jobs ~max_execs:options.max_execs
+            ~reduce:options.reduce sc
         in
         if !cex = None then
           (match r.Explore.violations with

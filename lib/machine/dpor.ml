@@ -106,8 +106,8 @@ type obs =
 
 type t = {
   lock : Mutex.t;
-  mutable frontier : task list;  (** stack, deepest branch at the head *)
-  mutable in_flight : int;
+      (** guards the nodes' mutable source sets and branch installs, which
+          tasks integrated on different domains share *)
   rf : bool;
       (** reads-from–aware mode: skip atomic write/read race reversals —
           with the later read's rf edge fixed, both orders reach the same
@@ -117,35 +117,7 @@ type t = {
           na-race fault detection is order-sensitive. *)
 }
 
-let create ?(rf = false) () =
-  { lock = Mutex.create (); frontier = [ root_task ]; in_flight = 0; rf }
-
-(* Pop the deepest pending task.  [None] does not mean the search is over:
-   running tasks may still push children — poll {!drained}. *)
-let claim st =
-  Mutex.lock st.lock;
-  let r =
-    match st.frontier with
-    | [] -> None
-    | t :: rest ->
-        st.frontier <- rest;
-        st.in_flight <- st.in_flight + 1;
-        Some t
-  in
-  Mutex.unlock st.lock;
-  r
-
-(* Give up a claimed task without integrating (budget hit / stop flag). *)
-let abandon st =
-  Mutex.lock st.lock;
-  st.in_flight <- st.in_flight - 1;
-  Mutex.unlock st.lock
-
-let drained st =
-  Mutex.lock st.lock;
-  let r = st.frontier = [] && st.in_flight = 0 in
-  Mutex.unlock st.lock;
-  r
+let create ?(rf = false) () = { lock = Mutex.create (); rf }
 
 let array_index a x =
   let n = Array.length a in
@@ -157,7 +129,7 @@ let array_index a x =
    alternatives, and integrate the reversible races of its step log.
    [ds] is the full decision trace, [obs] the observations in execution
    order, [steps] the (tid, footprint) step log oldest first.  Returns
-   the number of tasks spawned (for progress accounting). *)
+   the spawned tasks shallowest branch first. *)
 let integrate st task ~ds ~obs ~steps =
   Mutex.lock st.lock;
   let slen = Array.length task.t_script in
@@ -325,15 +297,13 @@ let integrate st task ~ds ~obs ~steps =
                       nd.n_tids)
           end)
     (List.filter keep_race (Deps.races ~from:task.t_branch_step sarr));
-  (* Deepest branch at the head of the stack: ascending push, LIFO pop.
-     At jobs = 1 this explores the DPOR tree depth-first, which keeps the
-     incremental engine's divergence suffixes short. *)
+  (* Shallowest branch first: the driver pushes them in this order, so
+     its LIFO pop takes the deepest — at jobs = 1 the DPOR tree is
+     explored depth-first, which keeps the incremental engine's
+     divergence suffixes short. *)
   let sorted =
     List.stable_sort (fun a b -> compare a.t_branch_step b.t_branch_step)
       !children
   in
-  List.iter (fun c -> st.frontier <- c :: st.frontier) sorted;
-  st.in_flight <- st.in_flight - 1;
-  let spawned = List.length sorted in
   Mutex.unlock st.lock;
-  spawned
+  sorted

@@ -7,10 +7,12 @@
     per-branch sleep installs; tasks are script prefixes with their
     install obligations and an optional wakeup sequence.  The [Explore]
     driver runs tasks on the machine, records observations, and feeds
-    each finished execution back through {!integrate}, which spawns the
-    data-alternative siblings and the race-reversal branches.  All
-    operations are serialised by an internal lock, so one [t] may be
-    shared by every worker domain of a parallel search. *)
+    each finished execution back through {!integrate}, which returns the
+    data-alternative siblings and the race-reversal branches as new
+    tasks; the driver keeps them on its own work-stealing deques.  The
+    nodes are shared by every task below them, so {!integrate} updates
+    them under an internal lock, and one [t] may serve every worker
+    domain of a parallel search. *)
 
 type fp = Deps.footprint
 
@@ -46,7 +48,7 @@ type obs =
 type t
 
 val create : ?rf:bool -> unit -> t
-(** a fresh search: the frontier holds only {!root_task}.  [rf] (default
+(** a fresh search, to be started from {!root_task}.  [rf] (default
     off) turns on the reads-from–aware rule: atomic write/read race
     reversals are not queued — with the later read's rf edge fixed both
     orders commute, and every rf edge the reversal could realise is
@@ -54,26 +56,17 @@ val create : ?rf:bool -> unit -> t
     involving a non-atomic access are always kept (na-race fault
     detection is order-sensitive). *)
 
-val claim : t -> task option
-(** pop the deepest pending task.  [None] does not end the search while
-    other workers hold claimed tasks — poll {!drained}. *)
-
-val abandon : t -> unit
-(** give up a claimed task without integrating (budget / stop flag) *)
-
-val drained : t -> bool
-(** frontier empty and no task in flight: the search is complete *)
-
 val integrate :
   t ->
   task ->
   ds:Decision.trace ->
   obs:obs list ->
   steps:(int * fp) array ->
-  int
-(** account one finished (or pruned) execution of a claimed task: create
-    nodes from fresh scheduling observations, spawn data-alternative
-    siblings, insert race-reversal branches per the source-DPOR rule.
-    [ds] is the full decision trace, [obs] the observations in execution
-    order, [steps] the (tid, footprint) log oldest first.  Releases the
-    claim; returns the number of tasks spawned. *)
+  task list
+(** account one finished (or pruned) execution of a task: create nodes
+    from fresh scheduling observations, spawn data-alternative siblings,
+    insert race-reversal branches per the source-DPOR rule.  [ds] is the
+    full decision trace, [obs] the observations in execution order,
+    [steps] the (tid, footprint) log oldest first.  Returns the spawned
+    tasks, shallowest branch first: a driver that pushes them in order
+    onto a stack pops the deepest next. *)

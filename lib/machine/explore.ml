@@ -2,14 +2,13 @@
 
    Executions are replayed from decision scripts — typed {!Decision}
    traces whose entries carry the choice taken, the branching factor, and
-   (for reads) reads-from provenance.  The DFS driver enumerates the
-   decision tree exhaustively: after each run it inspects the logged
-   trace, finds the deepest position with an untried alternative, and
-   restarts with the bumped prefix.  Enumeration order is lexicographic
-   on decision vectors, which is what makes the tree *shardable*: the
-   subtrees below distinct decision prefixes are disjoint, so [pdfs] can
-   carve the tree at a fixed split depth and hand the resulting shards to
-   OCaml 5 domains.  The random driver samples seeded executions.  Where
+   (for reads) reads-from provenance.  The exhaustive search enumerates
+   the decision tree as a tree of tasks on one work-stealing loop: each
+   task's run yields one execution, and the selected reduction splits the
+   rest of the task's subtree into child tasks — bumped decision prefixes
+   (unreduced and sleep-set search) or source-DPOR branches.  Children
+   partition the subtree, so OCaml 5 domains can explore them
+   independently.  The random driver samples seeded executions.  Where
    the paper *proves* a property of all executions, we *enumerate* them
    (up to the configured bounds) and check it on each. *)
 
@@ -381,19 +380,19 @@ let rf_class_key ~(outcome : Machine.outcome) accesses =
   done;
   Buffer.contents buf
 
-(* -- the DFS engine ----------------------------------------------------------
+(* -- running one task ---------------------------------------------------------
 
-   One run + bump.  [run_tree] executes [script], accounts the result into
-   [st] (unless the run was pruned, or [count] is off — the parallel
-   frontier pass re-runs its executions inside the shard workers), and
-   returns the logged decision trace for bumping.
+   [run_tree] executes [script] on a fresh machine, accounts the result
+   into [st] (unless the run was pruned), and returns the machine and the
+   logged decision trace the reduction splits the rest of the task's
+   subtree from.
 
    [mk_oracle] builds the oracle for one run from the machine, the resume
-   depth/log (0/[] when replaying from the root) and the script; the
-   default is plain scripted replay, the DPOR driver substitutes its
-   observing/steering oracle.  [classify] inspects a completed run before
-   it is accounted: returning [false] books it as [rf_pruned] instead of
-   an execution — the reads-from deduplication hook. *)
+   depth/log (0/[] when replaying from the root) and the script: plain
+   scripted replay for bump tasks, the observing/steering oracle for DPOR
+   tasks.  [classify] inspects a completed run before it is accounted:
+   returning [false] books it as [rf_pruned] instead of an execution —
+   the reads-from deduplication hook. *)
 
 let default_mk_oracle _m ~pos ~log script = Oracle.resume_script ~pos ~log script
 
@@ -404,32 +403,35 @@ let account_pruned ~reduction st =
   | Machine.RDpor | Machine.RDporRf -> st.dpor_pruned <- st.dpor_pruned + 1
   | _ -> st.pruned <- st.pruned + 1
 
-let run_tree ~config ~reduction ~mk_oracle ~classify ~count scenario st script =
+let account_run ~reduction ~classify st m judge outcome tr =
+  match outcome with
+  | Machine.Pruned -> account_pruned ~reduction st
+  | _ ->
+      if classify m outcome then account st outcome (judge outcome) tr
+      else st.rf_pruned <- st.rf_pruned + 1
+
+let run_tree ~config ~reduction ~mk_oracle ~classify scenario st script =
   let m = Machine.create ~config () in
   let judge = scenario.build m in
   let oracle = mk_oracle m ~pos:0 ~log:[] script in
   let outcome = Machine.run ~reduction m oracle in
   let tr = Oracle.trace oracle in
-  (if count then
-     match outcome with
-     | Machine.Pruned -> account_pruned ~reduction st
-     | _ ->
-         if classify m outcome then account st outcome (judge outcome) tr
-         else st.rf_pruned <- st.rf_pruned + 1);
-  (outcome, tr)
+  account_run ~reduction ~classify st m judge outcome tr;
+  (m, tr)
 
 (* -- the incremental engine --------------------------------------------------
 
    Replay-from-root pays [Machine.create] + scenario build + a full replay
    of the decision prefix on every execution: O(depth) redundant work per
    leaf of the decision tree.  The incremental engine instead keeps ONE
-   machine per driver and a stack of checkpoints keyed by decision depth
+   machine per worker and a stack of checkpoints keyed by decision depth
    along the current path.  To run the next script, it finds the deepest
    checkpoint whose depth is within the common prefix of the new script
    and the previous run's decisions, restores it (O(#locations + #graphs)
    pointer copies — the underlying maps are persistent), and re-executes
-   only the decision suffix.  Since DFS bumps the *deepest* untried
-   alternative, the suffix is usually a handful of steps.
+   only the decision suffix.  Since the owner's LIFO pop continues with
+   the *deepest* pending divergence, the suffix is usually a handful of
+   steps.
 
    A checkpoint is taken every [stride] decisions (at machine-step
    boundaries); on backtrack at most [stride] decisions' worth of steps
@@ -476,7 +478,7 @@ let engine ?(stride = default_stride) ~config scenario =
     e_prev = [||];
   }
 
-let engine_run eng ~reduction ~mk_oracle ~classify ~count st script =
+let engine_run eng ~reduction ~mk_oracle ~classify st script =
   (* Divergence point: the first position where [script] departs from the
      previous run's decisions.  Checkpoints strictly deeper than it belong
      to a different path. *)
@@ -534,43 +536,21 @@ let engine_run eng ~reduction ~mk_oracle ~classify ~count st script =
   let outcome = Machine.run ~reduction ~resume:true ~on_step ~on_sched m oracle in
   let tr = Oracle.trace oracle in
   eng.e_prev <- tr;
-  (if count then
-     match outcome with
-     | Machine.Pruned -> account_pruned ~reduction st
-     | _ ->
-         if classify m outcome then account st outcome (eng.e_judge outcome) tr
-         else st.rf_pruned <- st.rf_pruned + 1);
-  (outcome, tr)
+  account_run ~reduction ~classify st m eng.e_judge outcome tr;
+  (m, tr)
 
-(* A driver-agnostic runner: one closure per (driver, domain), so each
-   worker owns at most one machine for its whole lifetime instead of
-   allocating a machine, hash tables and scenario closures per
-   execution. *)
-let make_runner ?(mk_oracle = default_mk_oracle) ?(classify = default_classify)
-    ~incremental ~stride ~config ~reduction scenario =
+(* One runner per worker, so each worker owns at most one machine for its
+   whole lifetime instead of allocating a machine, hash tables and
+   scenario closures per execution. *)
+let make_runner ~classify ~incremental ~stride ~config ~reduction scenario =
   if incremental then begin
     let eng = engine ~stride ~config scenario in
-    fun st ~count script ->
-      engine_run eng ~reduction ~mk_oracle ~classify ~count st script
+    fun st mk_oracle script ->
+      engine_run eng ~reduction ~mk_oracle ~classify st script
   end
   else
-    fun st ~count script ->
-      run_tree ~config ~reduction ~mk_oracle ~classify ~count scenario st script
-
-(* Deepest position [i] with [lo <= i < min hi (length tr)] holding an
-   untried alternative; the bumped script locks everything above it.
-   Sequential [dfs] uses the full range; [pdfs] does not bump at all — it
-   splits the same alternatives into work-stealing tasks (below). *)
-let bump ~lo ~hi (tr : Decision.trace) =
-  let len = Array.length tr in
-  let rec find i =
-    if i < lo then None
-    else if tr.(i).Decision.choice + 1 < tr.(i).Decision.arity then Some i
-    else find (i - 1)
-  in
-  match find (min hi len - 1) with
-  | None -> None
-  | Some i -> Some (Array.append (Array.sub tr 0 i) [| Decision.bumped tr.(i) |])
+    fun st mk_oracle script ->
+      run_tree ~config ~reduction ~mk_oracle ~classify scenario st script
 
 let merge_stats into from =
   into.execs <- into.execs + from.execs;
@@ -599,195 +579,140 @@ let compare_failure (a : failure) (b : failure) =
   in
   go 0
 
-(* -- the source-DPOR drive ---------------------------------------------------
+(* -- the exploration loop -----------------------------------------------------
 
-   Tasks ({!Dpor}) replace the bump: each claimed task replays its script
-   prefix (re-arming the sleep sets recorded for its branch points), then
-   continues with the driver's scheduling policy — follow the task's
-   wakeup sequence while the executed steps match it, otherwise the first
-   runnable thread that is not asleep; data choices default to the first
-   alternative.  Every decision past the prefix is observed; after the
-   run, {!Dpor.integrate} spawns the untaken data alternatives and the
-   race-reversal branches.  The same runner abstraction as [dfs]/[pdfs]
-   carries the incremental engine underneath: checkpoints restored across
-   tasks are consistent because the sleep entries installed at a branch
-   position are fixed per (node, branch) — two tasks sharing a script
-   prefix install byte-identical sleep state along it.
+   Every reduction runs on one work-stealing loop.  The search is a tree
+   of *tasks*; running a task yields one execution, and the reduction
+   splits the rest of the task's subtree into child tasks, listed
+   shallow-first.  Each worker (one OCaml 5 domain; at [jobs = 1] the
+   caller's, with no domain spawned) owns a Chase-Lev deque ({!Wsdeque},
+   the native analogue of the modelled lib/dstruct/chaselev.ml) and
+   pushes the children in that order, so its own LIFO pop continues with
+   the *deepest* one — sequential depth-first order — while idle workers
+   steal the *shallowest* pending task, i.e. the largest unexplored
+   subtree, which keeps steals rare.
 
-   Workers share the locked task frontier and claim the deepest pending
-   branch; at [jobs = 1] the search is fully deterministic (and the
-   depth-first order keeps the incremental engine's divergence suffixes
-   short).  At [jobs > 1] race-discovery order — and hence execution
-   counts — may vary between runs, but verdicts and kept-violation sets
-   are schedule-independent (the differential suite asserts this).
+   A reduction supplies the root task and a per-worker [policy]: a task's
+   script, its oracle and its children.  The loop owns everything else:
+   termination (an atomic count of tasks created but not yet finished),
+   the execution budget, [until_violation], and the merge of the
+   domain-local statistics.  Workers share only the deque array, that
+   counter, the budget and the stop flag (plus whatever the reduction
+   shares itself: DPOR's nodes and the rf-class table) — the machine,
+   engine and stats are domain-local, which is what the per-run isolation
+   audit of [Machine.create] guarantees.
 
-   [rf] mode (--reduce=dpor-rf) stacks the data reduction on top:
-   {!Dpor.create}[ ~rf:true] stops queueing atomic write/read race
-   reversals (the read's data siblings already enumerate every rf edge a
-   reversal could realise), and a shared rf-class table keyed by
-   {!rf_class_key} deduplicates completed runs — a run whose class was
-   already counted books as [rf_pruned], skips the judge, and refunds its
-   budget slot, so [executions] counts exactly the distinct rf⊕mo
-   classes.  Every run still feeds {!Dpor.integrate}: duplicates can
-   still own unexplored data siblings. *)
+   Budget: a slot is taken before each run and refunded when the run does
+   not become a counted execution (a [Pruned] run or an rf duplicate), so
+   a truncated search counts exactly [max_execs] executions at any job
+   count.  Workers claim slots in batches: one [fetch_and_add] amortised
+   over [budget_batch] runs instead of one per run — per-execution atomics
+   on a shared counter are a cross-domain cache-line ping-pong, profiled
+   as the dominant cost of the parallel search once executions got cheap.
+   A worker stops only when it cannot get a slot; it puts its task back,
+   so the other workers spend the slots they still hold. *)
 
-let dpor_drive ?(jobs = 1) ?(max_execs = 100_000) ?(incremental = true)
-    ?(stride = default_stride) ?(until_violation = false)
-    ?(config = Machine.default_config) ?(rf = false) scenario =
-  let state = Dpor.create ~rf () in
-  (* rf-class dedup needs the access log; force-record it in rf mode. *)
-  let config =
-    if rf && not config.Machine.record_accesses then
-      { config with Machine.record_accesses = true }
-    else config
-  in
-  let reduction = if rf then Machine.RDporRf else Machine.RDpor in
-  let classes : (string, unit) Hashtbl.t = Hashtbl.create 199 in
-  let classes_lock = Mutex.create () in
-  let classify m outcome =
-    if not rf then true
-    else begin
-      let key = rf_class_key ~outcome (Machine.accesses m) in
-      Mutex.lock classes_lock;
-      let dup = Hashtbl.mem classes key in
-      if not dup then Hashtbl.add classes key ();
-      Mutex.unlock classes_lock;
-      not dup
-    end
-  in
+type 'task policy = {
+  script : 'task -> Decision.trace;  (** the prefix the task replays *)
+  mk_oracle :
+    'task ->
+    Machine.t ->
+    pos:int ->
+    log:Decision.t list ->
+    Decision.trace ->
+    Oracle.t;
+  children : 'task -> Machine.t -> Decision.trace -> 'task list;
+      (** the rest of the task's subtree after its run (given the machine
+          and the logged trace), shallow-first *)
+}
+
+let budget_batch = 64
+
+let search ~jobs ~max_execs ~until_violation ~incremental ~stride ~config
+    ~reduction ~classify ~root ~policy scenario =
+  let deques = Array.init jobs (fun _ -> Wsdeque.create ()) in
+  (* Tasks created but not yet finished; the search is over when it hits
+     zero.  Seeded with the root task before any worker starts. *)
+  let pending = Atomic.make 1 in
+  Wsdeque.push deques.(0) root;
   let spent = Atomic.make 0 in
-  let budget_hit = Atomic.make false in
+  (* [until_violation]: the first worker to keep a violation raises this
+     flag; the others stop at their next task boundary. *)
   let stop = Atomic.make false in
-  let worker _k () =
+  let worker k () =
     let st = fresh_stats () in
-    (* Per-run driver state, rebound by [mk_oracle] before each run. *)
-    let cur_task = ref Dpor.root_task in
-    let cur_m = ref None in
-    let obs = ref [] in
-    let wake = ref [] in
-    let base = ref 0 in
-    let mk_oracle m ~pos ~log script =
-      cur_m := Some m;
-      obs := [];
-      let task = !cur_task in
-      wake := Dpor.wakeup task;
-      base := Dpor.branch_step task + 1;
-      let installs = Dpor.installs task in
-      let slen = Array.length script in
-      let pick ~pos ~arity ~kind =
-        if pos < slen then begin
-          (match List.assoc_opt pos installs with
-          | Some entries -> Machine.set_sleep m (entries @ Machine.get_sleep m)
-          | None -> ());
-          let c = script.(pos).Decision.choice in
-          if c >= arity then
-            invalid_arg
-              (Printf.sprintf "Explore.dpor: choice %d/%d at %d" c arity pos);
-          c
-        end
-        else
-          match kind with
-          | Oracle.Data ->
-              let s = Machine.dpor_depth m in
-              obs :=
-                Dpor.Odata { o_pos = pos; o_step = s; o_arity = arity; o_taken = 0 }
-                :: !obs;
-              0
-          | Oracle.Sched tids ->
-              let s = Machine.dpor_depth m in
-              let sleep = Machine.get_sleep m in
-              (* Steering: consume wakeup entries matching the steps run
-                 since the last sync (forced steps included); abandon the
-                 sequence on first divergence. *)
-              (if !wake <> [] then begin
-                 let steps = Machine.dpor_steps m in
-                 let t = ref !base in
-                 while !wake <> [] && !t < s do
-                   (match !wake with
-                   | w :: rest when w = fst steps.(!t) -> wake := rest
-                   | _ -> wake := []);
-                   incr t
-                 done;
-                 base := s
-               end);
-              let n = Array.length tids in
-              let index_of w =
-                let rec go i =
-                  if i >= n then None else if tids.(i) = w then Some i else go (i + 1)
-                in
-                go 0
-              in
-              let default () =
-                let rec go i =
-                  if i >= n then 0
-                  else if List.mem_assq tids.(i) sleep then go (i + 1)
-                  else i
-                in
-                go 0
-              in
-              let j =
-                match !wake with
-                | w :: rest -> (
-                    match index_of w with
-                    | Some i when not (List.mem_assq w sleep) ->
-                        wake := rest;
-                        base := s + 1;
-                        i
-                    | _ ->
-                        wake := [];
-                        default ())
-                | [] -> default ()
-              in
-              obs :=
-                Dpor.Osched
-                  {
-                    o_pos = pos;
-                    o_step = s;
-                    o_tids = Array.copy tids;
-                    o_fps = Array.map (Machine.pending_footprint m) tids;
-                    o_sleep = sleep;
-                    o_taken = j;
-                  }
-                :: !obs;
-              j
-      in
-      Oracle.resume_make ~sched_aware:true ~pos ~log pick
-    in
+    let p = policy () in
     let run =
-      make_runner ~mk_oracle ~classify ~incremental ~stride ~config ~reduction
-        scenario
+      make_runner ~classify ~incremental ~stride ~config ~reduction scenario
+    in
+    let dq = deques.(k) in
+    (* Locally cached budget slots (claimed, not yet used). *)
+    let local = ref 0 in
+    let take_slot () =
+      if !local > 0 then begin decr local; true end
+      else begin
+        let got = Atomic.fetch_and_add spent budget_batch in
+        if got >= max_execs then begin
+          ignore (Atomic.fetch_and_add spent (-budget_batch));
+          false
+        end
+        else begin
+          (* Keep only the slots that fit under the budget. *)
+          let batch = min budget_batch (max_execs - got) in
+          if batch < budget_batch then
+            ignore (Atomic.fetch_and_add spent (batch - budget_batch));
+          local := batch - 1;
+          true
+        end
+      end
+    in
+    (* Run one task; [false] (with the task put back) when out of budget. *)
+    let exec task =
+      if not (take_slot ()) then begin
+        Wsdeque.push dq task;
+        false
+      end
+      else begin
+        let execs = st.execs in
+        let m, tr = run st (p.mk_oracle task) (p.script task) in
+        if st.execs = execs then incr local;
+        let children =
+          if until_violation && st.viol_count > 0 then begin
+            Atomic.set stop true;
+            []
+          end
+          else p.children task m tr
+        in
+        (* The finished task hands its count to its children before they
+           become visible, so [pending] never reads 0 too early; one child
+           simply inherits it. *)
+        (match children with
+        | [ _ ] -> ()
+        | _ ->
+            ignore (Atomic.fetch_and_add pending (List.length children - 1)));
+        List.iter (Wsdeque.push dq) children;
+        true
+      end
     in
     let rec loop () =
-      if Atomic.get budget_hit || Atomic.get stop then ()
-      else
-        match Dpor.claim state with
+      if not (Atomic.get stop) then
+        match Wsdeque.pop dq with
+        | Some t -> if exec t then loop ()
         | None ->
-            if Dpor.drained state then ()
-            else begin
-              Domain.cpu_relax ();
-              loop ()
-            end
-        | Some task ->
-            let got = Atomic.fetch_and_add spent 1 in
-            if got >= max_execs then begin
-              ignore (Atomic.fetch_and_add spent (-1));
-              Atomic.set budget_hit true;
-              Dpor.abandon state
-            end
-            else begin
-              cur_task := task;
-              let rfp0 = st.rf_pruned in
-              let outcome, ds = run st ~count:true (Dpor.script task) in
-              (* Pruned and rf-deduplicated runs are not executions:
-                 refund the budget slot. *)
-              if outcome = Machine.Pruned || st.rf_pruned > rfp0 then
-                ignore (Atomic.fetch_and_add spent (-1));
-              let m = Option.get !cur_m in
-              ignore
-                (Dpor.integrate state task ~ds ~obs:(List.rev !obs)
-                   ~steps:(Machine.dpor_steps m));
-              if until_violation && st.viol_count > 0 then Atomic.set stop true;
-              loop ()
+            if Atomic.get pending > 0 then begin
+              (* Out of local work but the search isn't over: scan the
+                 other deques for the shallowest stealable task. *)
+              let stolen = ref None in
+              let o = ref 1 in
+              while !stolen = None && !o < jobs do
+                stolen := Wsdeque.steal deques.((k + !o) mod jobs);
+                incr o
+              done;
+              match !stolen with
+              | Some t -> if exec t then loop ()
+              | None ->
+                  Domain.cpu_relax ();
+                  loop ()
             end
     in
     loop ();
@@ -801,190 +726,6 @@ let dpor_drive ?(jobs = 1) ?(max_execs = 100_000) ?(incremental = true)
   in
   let st = fresh_stats () in
   List.iter (merge_stats st) stats;
-  st.violations <-
-    List.sort compare_failure st.violations
-    |> List.filteri (fun i _ -> i < max_violations)
-    |> List.rev;
-  to_report ~name:scenario.name
-    ~complete:
-      ((not (Atomic.get budget_hit))
-      && (not (Atomic.get stop))
-      && Dpor.drained state)
-    st
-
-(* Exhaustive DFS over the decision tree, up to [max_execs] executions.
-   With [until_violation] the search stops at the first kept violation —
-   the mode-necessity audit only needs a witness per mutant, not the full
-   census (a run cut short this way reports [complete = false]). *)
-let dfs ?(max_execs = 100_000) ?(reduce = Machine.RNone) ?(incremental = true)
-    ?(stride = default_stride) ?(until_violation = false)
-    ?(config = Machine.default_config) scenario =
-  match reduce with
-  | Machine.RDpor | Machine.RDporRf ->
-      dpor_drive ~jobs:1 ~max_execs ~incremental ~stride ~until_violation
-        ~config ~rf:(reduce = Machine.RDporRf) scenario
-  | Machine.RNone | Machine.RSleep ->
-      let st = fresh_stats () in
-      let run =
-        make_runner ~incremental ~stride ~config ~reduction:reduce scenario
-      in
-      let rec go script =
-        if st.execs >= max_execs then false
-        else begin
-          let _, tr = run st ~count:true script in
-          if until_violation && st.viol_count > 0 then false
-          else
-            match bump ~lo:0 ~hi:max_int tr with
-            | None -> true
-            | Some script -> go script
-        end
-      in
-      let complete = go [||] in
-      to_report ~name:scenario.name ~complete st
-
-(* -- parallel DFS: work-stealing frontier ------------------------------------
-
-   The decision tree is partitioned into *tasks*.  A task [(script, lock)]
-   owns the subtree of executions whose decision vectors extend [script]
-   with positions below [lock] frozen.  Running the task's script yields
-   one leaf trace; the rest of its subtree is exactly the disjoint
-   union of the child tasks
-
-     (tr[0..i) ++ [bumped tr.(i)], i)   for lock <= i < |tr|, choice+1 < arity
-
-   — child [i] covers every execution that agrees with the leaf below
-   position [i] and diverges at [i].  Children are pushed shallow-first
-   onto the worker's Chase-Lev deque ({!Wsdeque}, the native analogue of
-   the modelled lib/dstruct/chaselev.ml), so the owner's LIFO pop
-   continues with the *deepest* divergence — at [jobs = 1] this replays
-   sequential [dfs]'s bump order execution for execution — while thieves
-   steal the *shallowest* pending task, i.e. the largest unexplored
-   subtree, which keeps steals rare.
-
-   Because tasks partition the tree, each execution is run and accounted
-   exactly once (no unaccounted shard-enumeration pass), and on a
-   complete search the merged report matches sequential [dfs] field for
-   field; kept violations are re-sorted into script order to erase the
-   worker schedule.  Termination is an atomic count of tasks created but
-   not yet finished.  Workers share only the deque array, that counter,
-   the execution budget and the stop flags — the machine, engine and
-   stats are domain-local, which is what the per-run isolation audit of
-   [Machine.create] guarantees. *)
-
-(* Workers claim execution budget in batches: one [fetch_and_add] amortised
-   over [budget_batch] runs instead of one per run.  Per-execution atomics
-   on a shared counter are a cross-domain cache-line ping-pong — profiled
-   as the dominant cost of [pdfs] once executions got cheap. *)
-let budget_batch = 64
-
-let pdfs ?jobs ?(max_execs = 100_000) ?(reduce = Machine.RNone)
-    ?(incremental = true) ?(stride = default_stride)
-    ?(until_violation = false) ?(config = Machine.default_config) scenario =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Domain.recommended_domain_count ()
-  in
-  match reduce with
-  | Machine.RDpor | Machine.RDporRf ->
-      dpor_drive ~jobs ~max_execs ~incremental ~stride ~until_violation
-        ~config ~rf:(reduce = Machine.RDporRf) scenario
-  | Machine.RNone | Machine.RSleep ->
-  let deques = Array.init jobs (fun _ -> Wsdeque.create ()) in
-  (* Tasks created but not yet finished; the search is over when it hits
-     zero.  Seeded with the root task before any worker starts. *)
-  let pending = Atomic.make 1 in
-  Wsdeque.push deques.(0) ([||], 0);
-  let spent = Atomic.make 0 in
-  let budget_hit = Atomic.make false in
-  (* [until_violation]: the first worker to keep a violation raises this
-     flag; the others stop at their next task boundary. *)
-  let stop = Atomic.make false in
-  let worker k () =
-    let st = fresh_stats () in
-    let run =
-      make_runner ~incremental ~stride ~config ~reduction:reduce scenario
-    in
-    let dq = deques.(k) in
-    (* Locally cached budget slots (claimed, not yet used). *)
-    let local = ref 0 in
-    let take_slot () =
-      if !local > 0 then begin decr local; true end
-      else begin
-        let got = Atomic.fetch_and_add spent budget_batch in
-        if got >= max_execs then begin
-          (* Over budget: put the whole batch back and stop. *)
-          ignore (Atomic.fetch_and_add spent (-budget_batch));
-          Atomic.set budget_hit true;
-          false
-        end
-        else begin
-          (* Keep only the slots that fit under the budget. *)
-          let batch = min budget_batch (max_execs - got) in
-          if batch < budget_batch then
-            ignore (Atomic.fetch_and_add spent (batch - budget_batch));
-          local := batch - 1;
-          true
-        end
-      end
-    in
-    let exec_task (script, lock) =
-      (if Atomic.get stop then ()
-       else if not (take_slot ()) then ()
-       else begin
-         let outcome, tr = run st ~count:true script in
-         (* Pruned runs are not executions: refund the budget slot so the
-            parallel budget counts what sequential [dfs] counts. *)
-         if outcome = Machine.Pruned then incr local;
-         if until_violation && st.viol_count > 0 then Atomic.set stop true
-         else
-           (* Split the remainder of this task's subtree into children,
-              shallow-first so the owner's LIFO pop takes the deepest. *)
-           for i = lock to Array.length tr - 1 do
-             if tr.(i).Decision.choice + 1 < tr.(i).Decision.arity then begin
-               Atomic.incr pending;
-               Wsdeque.push dq
-                 (Array.append (Array.sub tr 0 i) [| Decision.bumped tr.(i) |], i)
-             end
-           done
-       end);
-      Atomic.decr pending
-    in
-    let rec loop () =
-      if Atomic.get budget_hit || Atomic.get stop then ()
-      else
-        match Wsdeque.pop dq with
-        | Some t -> exec_task t; loop ()
-        | None ->
-            if Atomic.get pending = 0 then ()
-            else begin
-              (* Out of local work but the search isn't over: scan the
-                 other deques for the shallowest stealable task. *)
-              let stolen = ref None in
-              let o = ref 1 in
-              while !stolen = None && !o < jobs do
-                stolen := Wsdeque.steal deques.((k + !o) mod jobs);
-                incr o
-              done;
-              (match !stolen with
-              | Some t -> exec_task t
-              | None -> Domain.cpu_relax ());
-              loop ()
-            end
-    in
-    loop ();
-    (* Return unused cached slots to the shared budget. *)
-    ignore (Atomic.fetch_and_add spent (- !local));
-    local := 0;
-    st
-  in
-  let stats =
-    if jobs = 1 then [ worker 0 () ]
-    else begin
-      let domains = Array.init jobs (fun k -> Domain.spawn (worker k)) in
-      Array.to_list (Array.map Domain.join domains)
-    end
-  in
-  let st = fresh_stats () in
-  List.iter (merge_stats st) stats;
   (* [to_report] reverses the (newest-first) list, so store the kept
      failures — the lexicographically smallest scripts — in reverse. *)
   st.violations <-
@@ -992,8 +733,240 @@ let pdfs ?jobs ?(max_execs = 100_000) ?(reduce = Machine.RNone)
     |> List.filteri (fun i _ -> i < max_violations)
     |> List.rev;
   to_report ~name:scenario.name
-    ~complete:((not (Atomic.get budget_hit)) && not (Atomic.get stop))
+    ~complete:(Atomic.get pending = 0 && not (Atomic.get stop))
     st
+
+(* -- bump tasks: the unreduced and sleep-set search --------------------------
+
+   A task [(pre, i)] owns the subtree of executions that agree with the
+   decisions [pre] below position [i] and take a later alternative than
+   [pre.(i)] at [i]; its script is [pre[0..i) ++ [bumped pre.(i)]], and
+   the root [([||], -1)] owns the whole tree.  Running the task's script
+   yields one leaf trace [tr]; the rest of its subtree is exactly the
+   disjoint union of the child tasks
+
+     (tr, j)   for max i 0 <= j < |tr|, tr.(j).choice + 1 < arity
+
+   — child [j] covers every execution that agrees with the leaf below
+   position [j] and diverges at [j].  The children share one copy of the
+   leaf up to the deepest of them and build their script only when they
+   run: a pending task then costs a pair, not a copy of its prefix, and
+   the scripts die young instead of being promoted while they wait.
+   Popping the deepest child first bumps the deepest untried alternative,
+   so the enumeration order is lexicographic on decision vectors.
+   Because tasks partition the tree, each execution is run and accounted
+   exactly once, and a complete search explores the same executions at
+   any job count; kept violations are re-sorted into script order to
+   erase the worker schedule. *)
+
+let bump_policy =
+  {
+    script =
+      (fun (pre, i) ->
+        if i < 0 then [||]
+        else begin
+          let s = Array.sub pre 0 (i + 1) in
+          s.(i) <- Decision.bumped pre.(i);
+          s
+        end);
+    mk_oracle = (fun _ -> default_mk_oracle);
+    children =
+      (fun (_, i) _ tr ->
+        let lock = max i 0 in
+        let open_at j = tr.(j).Decision.choice + 1 < tr.(j).Decision.arity in
+        let rec deepest j =
+          if j < lock || open_at j then j else deepest (j - 1)
+        in
+        let top = deepest (Array.length tr - 1) in
+        if top < lock then []
+        else begin
+          let pre = Array.sub tr 0 (top + 1) in
+          let rec go j acc =
+            if j < lock then acc
+            else go (j - 1) (if open_at j then (pre, j) :: acc else acc)
+          in
+          go top []
+        end);
+  }
+
+(* -- DPOR tasks: source-DPOR over the same loop -------------------------------
+
+   {!Dpor} tasks replace the bump: each task replays its script prefix
+   (re-arming the sleep sets recorded for its branch points), then
+   continues with the driver's scheduling policy — follow the task's
+   wakeup sequence while the executed steps match it, otherwise the first
+   runnable thread that is not asleep; data choices default to the first
+   alternative.  Every decision past the prefix is observed; after the
+   run, {!Dpor.integrate} returns the untaken data alternatives and the
+   race-reversal branches as the task's children.  The incremental engine
+   runs underneath: checkpoints restored across tasks are consistent
+   because the sleep entries installed at a branch position are fixed per
+   (node, branch) — two tasks sharing a script prefix install
+   byte-identical sleep state along it.
+
+   At [jobs = 1] the deque is one global stack, deepest branch first, so
+   the search is fully deterministic (and the depth-first order keeps the
+   incremental engine's divergence suffixes short).  At [jobs > 1]
+   race-discovery order — and hence execution counts — may vary between
+   runs, but verdicts and kept-violation sets are schedule-independent
+   (the differential suite asserts this).
+
+   [rf] mode (--reduce=dpor-rf) stacks the data reduction on top:
+   {!Dpor.create}[ ~rf:true] stops queueing atomic write/read race
+   reversals (the read's data siblings already enumerate every rf edge a
+   reversal could realise), and a shared rf-class table keyed by
+   {!rf_class_key} deduplicates completed runs — a run whose class was
+   already counted books as [rf_pruned], skips the judge, and gets its
+   budget slot back, so [executions] counts exactly the distinct rf⊕mo
+   classes.  Every run still feeds {!Dpor.integrate}: duplicates can
+   still own unexplored data siblings. *)
+
+(* One worker's DPOR policy: the oracle records the run's observations in
+   worker-local state that [children] hands to {!Dpor.integrate}. *)
+let dpor_policy state () =
+  let obs = ref [] in
+  let wake = ref [] in
+  let base = ref 0 in
+  let mk_oracle task m ~pos ~log script =
+    obs := [];
+    wake := Dpor.wakeup task;
+    base := Dpor.branch_step task + 1;
+    let installs = Dpor.installs task in
+    let slen = Array.length script in
+    let pick ~pos ~arity ~kind =
+      if pos < slen then begin
+        (match List.assoc_opt pos installs with
+        | Some entries -> Machine.set_sleep m (entries @ Machine.get_sleep m)
+        | None -> ());
+        let c = script.(pos).Decision.choice in
+        if c >= arity then
+          invalid_arg
+            (Printf.sprintf "Explore.dpor: choice %d/%d at %d" c arity pos);
+        c
+      end
+      else
+        match kind with
+        | Oracle.Data ->
+            let s = Machine.dpor_depth m in
+            obs :=
+              Dpor.Odata { o_pos = pos; o_step = s; o_arity = arity; o_taken = 0 }
+              :: !obs;
+            0
+        | Oracle.Sched tids ->
+            let s = Machine.dpor_depth m in
+            let sleep = Machine.get_sleep m in
+            (* Steering: consume wakeup entries matching the steps run
+               since the last sync (forced steps included); abandon the
+               sequence on first divergence. *)
+            (if !wake <> [] then begin
+               let steps = Machine.dpor_steps m in
+               let t = ref !base in
+               while !wake <> [] && !t < s do
+                 (match !wake with
+                 | w :: rest when w = fst steps.(!t) -> wake := rest
+                 | _ -> wake := []);
+                 incr t
+               done;
+               base := s
+             end);
+            let n = Array.length tids in
+            let index_of w =
+              let rec go i =
+                if i >= n then None else if tids.(i) = w then Some i else go (i + 1)
+              in
+              go 0
+            in
+            let default () =
+              let rec go i =
+                if i >= n then 0
+                else if List.mem_assq tids.(i) sleep then go (i + 1)
+                else i
+              in
+              go 0
+            in
+            let j =
+              match !wake with
+              | w :: rest -> (
+                  match index_of w with
+                  | Some i when not (List.mem_assq w sleep) ->
+                      wake := rest;
+                      base := s + 1;
+                      i
+                  | _ ->
+                      wake := [];
+                      default ())
+              | [] -> default ()
+            in
+            obs :=
+              Dpor.Osched
+                {
+                  o_pos = pos;
+                  o_step = s;
+                  o_tids = Array.copy tids;
+                  o_fps = Array.map (Machine.pending_footprint m) tids;
+                  o_sleep = sleep;
+                  o_taken = j;
+                }
+              :: !obs;
+            j
+    in
+    Oracle.resume_make ~sched_aware:true ~pos ~log pick
+  in
+  {
+    script = Dpor.script;
+    mk_oracle;
+    children =
+      (fun task m ds ->
+        Dpor.integrate state task ~ds ~obs:(List.rev !obs)
+          ~steps:(Machine.dpor_steps m));
+  }
+
+let pdfs ?jobs ?(max_execs = 100_000) ?(reduce = Machine.RNone)
+    ?(incremental = true) ?(stride = default_stride)
+    ?(until_violation = false) ?(config = Machine.default_config) scenario =
+  let jobs =
+    match jobs with Some j -> max 1 j | None -> Domain.recommended_domain_count ()
+  in
+  let search ~config ~classify ~root ~policy =
+    search ~jobs ~max_execs ~until_violation ~incremental ~stride ~config
+      ~reduction:reduce ~classify ~root ~policy scenario
+  in
+  match reduce with
+  | Machine.RNone | Machine.RSleep ->
+      search ~config ~classify:default_classify ~root:([||], -1)
+        ~policy:(fun () -> bump_policy)
+  | Machine.RDpor | Machine.RDporRf ->
+      let rf = reduce = Machine.RDporRf in
+      (* rf-class dedup needs the access log; force-record it in rf mode. *)
+      let config =
+        if rf && not config.Machine.record_accesses then
+          { config with Machine.record_accesses = true }
+        else config
+      in
+      let classes : (string, unit) Hashtbl.t = Hashtbl.create 199 in
+      let classes_lock = Mutex.create () in
+      let classify m outcome =
+        if not rf then true
+        else begin
+          let key = rf_class_key ~outcome (Machine.accesses m) in
+          Mutex.lock classes_lock;
+          let dup = Hashtbl.mem classes key in
+          if not dup then Hashtbl.add classes key ();
+          Mutex.unlock classes_lock;
+          not dup
+        end
+      in
+      search ~config ~classify ~root:Dpor.root_task
+        ~policy:(dpor_policy (Dpor.create ~rf ()))
+
+(* The sequential search is the loop on one deque, in the caller's domain.
+   With [until_violation] the search stops at the first kept violation —
+   the mode-necessity audit only needs a witness per mutant, not the full
+   census (a run cut short this way reports [complete = false]). *)
+let dfs ?max_execs ?reduce ?incremental ?stride ?until_violation ?config
+    scenario =
+  pdfs ~jobs:1 ?max_execs ?reduce ?incremental ?stride ?until_violation
+    ?config scenario
 
 (* Random sampling: [execs] seeded executions.  Decision vectors are
    fingerprinted so the report can say how many *distinct* executions the
@@ -1023,10 +996,6 @@ let run ?(config = Machine.default_config) ?(jobs = 1)
     ?(until_violation = false) ~mode scenario =
   match mode with
   | Dfs { max_execs } ->
-      if jobs > 1 then
-        pdfs ~jobs ~max_execs ~reduce ~incremental ~stride ~until_violation
-          ~config scenario
-      else
-        dfs ~max_execs ~reduce ~incremental ~stride ~until_violation ~config
-          scenario
+      pdfs ~jobs ~max_execs ~reduce ~incremental ~stride ~until_violation
+        ~config scenario
   | Random { execs; seed } -> random ~execs ~seed ~config scenario

@@ -2,15 +2,15 @@
 
     Executions replay from decision scripts — typed {!Decision} traces
     carrying the choice taken, the branching factor, and (for reads) the
-    reads-from provenance.  The DFS driver enumerates the decision tree
-    exhaustively: after each run it takes the logged trace, finds the
-    deepest position with an untried alternative, and restarts with the
-    bumped prefix.  The parallel driver {!pdfs} splits that tree into
-    disjoint decision-prefix tasks balanced across OCaml 5 domains by
-    work stealing; [~reduce] selects a partial-order reduction: sleep
-    sets in the scheduler (see {!Machine.run}), source-DPOR with wakeup
-    sequences ({!Dpor}), or reads-from–aware source-DPOR ([RDporRf]: one
-    counted execution per distinct rf⊕mo class).  The random driver
+    reads-from provenance.  One work-stealing driver ({!pdfs}; {!dfs}
+    is the same driver at one job) enumerates the decision tree
+    exhaustively as a tree of tasks: each task's run yields one
+    execution, and the rest of the task's subtree is split into child
+    tasks that OCaml 5 domains explore independently.  [~reduce] selects
+    a partial-order reduction: sleep sets in the scheduler (see
+    {!Machine.run}), source-DPOR with wakeup sequences ({!Dpor}), or
+    reads-from–aware source-DPOR ([RDporRf]: one counted execution per
+    distinct rf⊕mo class).  The random driver
     samples seeded executions.  Where the paper {e proves} a property of
     all executions, we {e enumerate} them (up to the configured bounds)
     and check it on each. *)
@@ -26,8 +26,8 @@ type scenario = {
   build : Machine.t -> (Machine.outcome -> verdict);
       (** runs once per execution on a fresh machine: allocate, spawn
           threads, return the judge.  Shared statistics live in closures
-          created before the scenario.  Under {!pdfs} the closure runs on
-          several domains concurrently: the machine is domain-local, and
+          created before the scenario.  Under {!pdfs} at [jobs > 1] the
+          closure runs on several domains concurrently: the machine is domain-local, and
           the report fields are merged from domain-local tallies, but any
           counters the scenario itself mutates are updated racily —
           treat them as approximate when [jobs > 1]. *)
@@ -149,7 +149,11 @@ val dfs :
   ?config:Machine.config ->
   scenario ->
   report
-(** exhaustive sequential DFS.  [reduce] selects a partial-order
+(** exhaustive sequential DFS: {!pdfs} at [~jobs:1], in the caller's
+    domain.  Under [RNone]/[RSleep] each task bumps the deepest untried
+    alternative of the previous run, so the enumeration order is
+    lexicographic on decision vectors; under [RDpor]/[RDporRf] tasks
+    are explored deepest branch first.  [reduce] selects a partial-order
     reduction (default {!Machine.RNone}): [RSleep] turns on sleep sets —
     redundant interleavings of independent steps are pruned (counted in
     {!report.pruned}), never losing a violation up to graph isomorphism;
@@ -171,10 +175,13 @@ val dfs :
     path, [~incremental:false], is kept as the differential-testing
     oracle); [stride] sets the checkpoint spacing in decisions.
 
-    [until_violation] (default off) stops the search at the first kept
-    violation — what the mode-necessity audit uses to witness a broken
-    mutant without paying for the rest of the tree.  A search cut short
-    this way reports [complete = false]. *)
+    [max_execs] (default 100 000) bounds the counted executions: pruned
+    runs and rf duplicates are not counted, and a search the budget
+    truncates reports exactly [max_execs] executions and
+    [complete = false].  [until_violation] (default off) stops the
+    search at the first kept violation — what the mode-necessity audit
+    uses to witness a broken mutant without paying for the rest of the
+    tree.  A search cut short this way reports [complete = false]. *)
 
 val pdfs :
   ?jobs:int ->
@@ -186,31 +193,34 @@ val pdfs :
   ?config:Machine.config ->
   scenario ->
   report
-(** parallel DFS by work stealing: each of the [jobs] domains (default
-    [Domain.recommended_domain_count ()]) owns a Chase-Lev deque
-    ({!Wsdeque}) of decision-prefix tasks that partition the tree.  After
-    each run a worker pushes one child task per untried alternative,
-    shallow-first: its own LIFO pops continue with the deepest divergence
-    (sequential [dfs] order), idle workers steal the shallowest — the
-    largest — pending subtree.  Per-domain statistics are merged into one
-    report, with kept violations re-sorted into script order.  On a
-    complete search, [pdfs ~jobs] and {!dfs} agree on every report field;
-    kept violations are the lexicographically first scripts, so they
-    agree on those too whenever at most 16 violations exist.  (When the
-    budget truncates the search, the two drivers explore the same
-    {e number} of executions but not necessarily the same subset.)  Each
-    worker keeps one incremental engine (machine + checkpoint stack) for
-    its whole lifetime, and claims execution budget in batches rather
-    than one atomic per run.
+(** the exploration driver, for every [reduce]: each of the [jobs]
+    domains (default [Domain.recommended_domain_count ()]; at [jobs = 1]
+    the caller's domain, none spawned) owns a Chase-Lev deque
+    ({!Wsdeque}) of tasks that partition the tree — decision prefixes
+    under [RNone]/[RSleep], {!Dpor} tasks (prefixes with their
+    wakeup-sequence and sleep-install obligations) under
+    [RDpor]/[RDporRf].  After each run a worker pushes the run's child
+    tasks shallow-first: its own LIFO pops continue with the deepest
+    (the sequential {!dfs} order), idle workers steal the shallowest —
+    the largest — pending subtree.  Per-domain statistics are merged
+    into one report, with kept violations re-sorted into script order.
+    Each worker keeps one incremental engine (machine + checkpoint
+    stack) for its whole lifetime, and claims execution budget in
+    batches rather than one atomic per run; a worker stops only when it
+    can get no budget, so a truncated search counts exactly [max_execs]
+    executions at any job count (not necessarily the same subset as
+    {!dfs}).
 
-    Under [~reduce:RDpor] (and [RDporRf]) the workers share a {!Dpor}
-    frontier instead of Chase-Lev deques: stolen prefix tasks carry their
-    wakeup-sequence and sleep-install obligations, so parallel DPOR keeps
-    the same verdicts and violation sets as the sequential search (the
+    Under [RNone]/[RSleep], on a complete search, [pdfs ~jobs] and
+    {!dfs} agree on every report field; kept violations are the
+    lexicographically first scripts, so they agree on those too
+    whenever at most 16 violations exist.  Under [RDpor]/[RDporRf] the
+    verdicts and violation sets are the sequential search's, but the
     execution {e count} may differ run to run — racing workers can both
     explore a branch the other would have put to sleep; under [RDporRf]
-    the shared rf-class table makes the counted executions — the distinct
-    classes — schedule-independent again on complete searches). *)
+    the shared rf-class table makes the counted executions — the
+    distinct classes — schedule-independent again on complete
+    searches. *)
 
 val random : ?execs:int -> ?seed:int -> ?config:Machine.config -> scenario -> report
 
@@ -226,6 +236,6 @@ val run :
   mode:mode ->
   scenario ->
   report
-(** dispatch on [mode]; [jobs > 1] routes [Dfs] to {!pdfs}, and [reduce] /
-    [incremental] / [stride] apply to either DFS driver (random sampling
-    ignores them) *)
+(** dispatch on [mode]: [Dfs] runs {!pdfs} with [jobs] (default 1),
+    [reduce], [incremental], [stride] and [until_violation]; random
+    sampling ignores them *)

@@ -168,14 +168,9 @@ let run ?(options = default_options) (e : Libspec.entry) =
   let run_client (c : Mgc.client) =
     let sc = scenario_of e kind states c in
     let r =
-      if options.jobs > 1 then
-        Explore.pdfs ~jobs:options.jobs ~max_execs:options.max_execs
-          ~reduce:options.reduce ~incremental:options.incremental
-          ~until_violation:options.until_violation sc
-      else
-        Explore.dfs ~max_execs:options.max_execs ~reduce:options.reduce
-          ~incremental:options.incremental
-          ~until_violation:options.until_violation sc
+      Explore.pdfs ~jobs:options.jobs ~max_execs:options.max_execs
+        ~reduce:options.reduce ~incremental:options.incremental
+        ~until_violation:options.until_violation sc
     in
     rows := { c_id = c.Mgc.id; c_report = r; c_ok = Explore.ok r } :: !rows;
     (if !witness = None then

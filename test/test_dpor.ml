@@ -9,7 +9,7 @@ open Prog.Syntax
    on verdicts and on the set of distinct violations everywhere; the
    execution counts must be monotone (dpor <= sleep <= unreduced); and
    the DPOR integration must be engine-independent: replay-from-root,
-   incremental at strides 1/2/5, and the shared-frontier parallel driver
+   incremental at strides 1/2/5, and the work-stealing parallel search
    at 1/2/4 jobs all reach the same verdicts.
 
    "Total runs" below counts every machine run the search launched,
@@ -110,7 +110,7 @@ let test_engine_independence () =
             (Printf.sprintf "%s: stride %d executions" name stride)
             reference.Explore.executions inc.Explore.executions)
         [ 1; 2; 5 ];
-      (* Parallel workers race on the shared frontier, so the count may
+      (* Parallel workers race on the shared DPOR nodes, so the count may
          wobble; verdicts, violation sets and completeness may not. *)
       List.iter
         (fun jobs ->

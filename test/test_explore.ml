@@ -4,11 +4,13 @@ open Compass_dstruct
 open Compass_clients
 open Prog.Syntax
 
-(* The exploration engine: parallel sharded DFS ([Explore.pdfs]) must
-   agree with the sequential driver field for field, sleep-set reduction
-   must explore strictly fewer executions without losing any violation or
-   litmus verdict, and per-execution machines must be isolated enough to
-   run on several domains at once. *)
+(* The exploration engine: the work-stealing search ([Explore.pdfs]) at
+   any job count must agree with the sequential one ([Explore.dfs], the
+   same loop at one job) field for field, sleep-set reduction must
+   explore strictly fewer executions without losing any violation or
+   litmus verdict, budgets and [until_violation] must behave the same
+   under every reduction, and per-execution machines must be isolated
+   enough to run on several domains at once. *)
 
 let vi n = Value.Int n
 
@@ -328,6 +330,47 @@ let test_domain_isolation () =
     (fun d -> report_eq ~name:"concurrent domain" reference (Domain.join d))
     domains
 
+(* -- budget and stop behaviour ------------------------------------------------
+
+   Every reduction runs on the same work-stealing loop, so every
+   reduction at every job count must spend a truncating budget exactly —
+   a worker stops only when no slot is left, not when another worker ran
+   out — and must stop at the first kept violation under
+   [until_violation]. *)
+
+let all_reductions =
+  [ Machine.RNone; Machine.RSleep; Machine.RDpor; Machine.RDporRf ]
+
+let test_budget_and_stop () =
+  let max_execs = 150 in
+  List.iter
+    (fun reduce ->
+      List.iter
+        (fun jobs ->
+          let name = Printf.sprintf "%s, jobs %d" (red_name reduce) jobs in
+          let r =
+            Explore.pdfs ~jobs ~reduce ~max_execs
+              (Harness.queue_workload Lockqueue.instantiate ~enqers:2
+                 ~deqers:2 ~ops:1 ())
+          in
+          Alcotest.(check int)
+            (name ^ ": budget spent exactly")
+            max_execs r.Explore.executions;
+          Alcotest.(check bool)
+            (name ^ ": budget-limited") false r.Explore.complete;
+          let v =
+            Explore.pdfs ~jobs ~reduce ~until_violation:true
+              (seeded_mp_violation ())
+          in
+          Alcotest.(check bool)
+            (name ^ ": until_violation keeps a violation")
+            true
+            (v.Explore.violations <> []);
+          Alcotest.(check bool)
+            (name ^ ": stopped early") false v.Explore.complete)
+        [ 1; 2 ])
+    all_reductions
+
 let suite =
   [
     Alcotest.test_case "incremental == replay dfs (strides 1/2/5, ±reduce)"
@@ -349,4 +392,6 @@ let suite =
       test_backend_pdfs;
     Alcotest.test_case "two domains explore concurrently" `Slow
       test_domain_isolation;
+    Alcotest.test_case "budget and until_violation (every reduce, jobs 1/2)"
+      `Quick test_budget_and_stop;
   ]
