@@ -28,11 +28,15 @@
    Structure keys ([--struct]) resolve through the central spec registry
    (Specreg; [compass specs] lists them).  Every exploring subcommand
    also takes [--jobs N] (explore on N domains),
-   [--reduce[=sleep|dpor|none]] (partial-order reduction: sleep sets or
-   source-DPOR with wakeup sequences; bare [--reduce] means sleep),
+   [--reduce[=sleep|dpor|dpor-rf|none]] (partial-order reduction: sleep
+   sets, source-DPOR with wakeup sequences, or source-DPOR plus the
+   reads-from reduction; bare [--reduce] means sleep),
    [--incremental BOOL] (checkpoint/restore exploration, default on;
    false = replay-from-root oracle) and [--stride N] (checkpoint
    spacing).
+
+   Each flag is declared once below; where subcommands differ (default,
+   presence, doc line) the declaration takes that as a parameter.
 *)
 
 open Cmdliner
@@ -50,19 +54,45 @@ module J = Compass_util.Jsonout
 
 (* -- shared arguments --------------------------------------------------------- *)
 
-(* Budgets, job counts and strides below 1 are rejected at parse time: a
-   zero budget would report a pass that explored nothing. *)
-let pos_int =
+let int_conv ~what ~min =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let execs =
-  let doc = "Execution budget for exhaustive (DFS) exploration." in
-  Arg.(value & opt pos_int 100_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
+(* Budgets, job counts, strides, thread and operation counts and MGC
+   depths below 1 are rejected at parse time: a zero budget would report a
+   pass that explored nothing. *)
+let pos_int = int_conv ~what:"positive" ~min:1
+
+(* Indices, PCT parameters and the shrinker's replay budget may be 0. *)
+let nonneg_int = int_conv ~what:"non-negative" ~min:0
+
+let script_string choices =
+  String.concat "," (List.map string_of_int (Array.to_list choices))
+
+(* Decision scripts are comma-separated choices; empty fields are skipped,
+   so [--script ""] is the empty script. *)
+let script_conv =
+  let parse s =
+    let fields = List.filter (( <> ) "") (String.split_on_char ',' s) in
+    match List.map int_of_string_opt fields with
+    | ints when List.for_all Option.is_some ints ->
+        Ok (Decision.of_ints (Array.of_list (List.map Option.get ints)))
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "expected comma-separated integers, got %S" s))
+  in
+  let print ppf tr =
+    Format.pp_print_string ppf (script_string (Decision.choices tr))
+  in
+  Arg.conv (parse, print)
+
+let execs ?(default = 100_000)
+    ?(doc = "Execution budget for exhaustive (DFS) exploration.") () =
+  Arg.(value & opt pos_int default & info [ "execs"; "e" ] ~docv:"N" ~doc)
 
 let random_mode =
   let doc = "Use seeded random sampling instead of exhaustive DFS." in
@@ -107,29 +137,25 @@ let reduction_conv =
   in
   Arg.conv (parse, print)
 
-let reduce =
-  let doc =
-    "Partial-order reduction: $(b,sleep) (sleep sets: skip interleavings      that only reorder independent steps), $(b,dpor) (source-DPOR with      wakeup sequences: near one execution per Mazurkiewicz trace),      $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted      execution per distinct rfâmo class) or $(b,none).  Bare      $(b,--reduce) means $(b,sleep).  Verdicts and violations are the      same under all of them; only the execution count shrinks."
-  in
+(* Most subcommands explore unreduced by default; [sim] and [analyze]
+   default to sleep sets (see their docs). *)
+let reduce ?(default = Machine.RNone)
+    ?(doc =
+      "Partial-order reduction: $(b,sleep) (sleep sets: skip interleavings \
+       that only reorder independent steps), $(b,dpor) (source-DPOR with \
+       wakeup sequences: near one execution per Mazurkiewicz trace), \
+       $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted \
+       execution per distinct rf⊕mo class) or $(b,none).  Bare \
+       $(b,--reduce) means $(b,sleep).  Verdicts and violations are the \
+       same under all of them; only the execution count shrinks.") () =
   Arg.(
     value
-    & opt ~vopt:Machine.RSleep reduction_conv Machine.RNone
+    & opt ~vopt:Machine.RSleep reduction_conv default
     & info [ "reduce" ] ~docv:"RED" ~doc)
 
-let split_depth =
-  let doc =
-    "Deprecated and ignored: the two-phase sharding scheme this \
-     parameterised is retired (work stealing balances the tree)."
-  in
-  Arg.(value & opt (some int) None & info [ "split-depth" ] ~docv:"N" ~doc)
-
-let warn_split_depth = function
-  | None -> ()
-  | Some _ ->
-      prerr_endline
-        "compass: warning: --split-depth is deprecated and ignored (the \
-         two-phase sharding scheme was retired; work stealing balances \
-         the tree)"
+let sleep_default_doc =
+  "Partial-order reduction (default $(b,sleep); $(b,dpor) switches to \
+   source-DPOR, $(b,--reduce=none) explores the full tree)."
 
 let incremental =
   let doc =
@@ -146,6 +172,35 @@ let stride =
     value
     & opt pos_int Compass_machine.Explore.default_stride
     & info [ "stride" ] ~docv:"N" ~doc)
+
+(* The exploration flags litmus, client, check and axioms share;
+   [sampling] adds [--random]/[--seed] (client and check). *)
+type exploration = {
+  execs : int;
+  jobs : int;
+  reduce : Machine.reduction;
+  incremental : bool;
+  stride : int;
+  random : bool;
+  seed : int;
+}
+
+let exploration ?(sampling = false) () =
+  let make execs jobs reduce incremental stride random seed =
+    { execs; jobs; reduce; incremental; stride; random; seed }
+  in
+  let random, seed =
+    if sampling then (random_mode, seed) else (Term.const false, Term.const 0)
+  in
+  Term.(
+    const make $ execs () $ jobs $ reduce () $ incremental $ stride $ random
+    $ seed)
+
+let explore ?config x sc =
+  if x.random then Explore.random ?config ~execs:x.execs ~seed:x.seed sc
+  else
+    Explore.pdfs ?config ~jobs:x.jobs ~max_execs:x.execs ~reduce:x.reduce
+      ~incremental:x.incremental ~stride:x.stride sc
 
 let queue_arg =
   let impls =
@@ -171,26 +226,77 @@ let style_arg =
   in
   Arg.(value & opt impls Styles.Hb & info [ "style"; "s" ] ~docv:"STYLE" ~doc)
 
-let run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride sc =
-  if random then Explore.random ~execs ~seed sc
-  else Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride sc
-
 let finish report =
   Format.printf "%a@." Explore.pp_report report;
   if Explore.ok report then 0 else 1
 
-(* Structure keys resolve through the central spec registry. *)
-
-let struct_arg =
-  let doc =
-    Printf.sprintf "Registered structure ($(b,compass specs) lists them): %s."
-      (String.concat ", "
-         (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
+(* Structure keys resolve through the central spec registry.  [presence]
+   is [Arg.value] (an optional key) or [Arg.required]; replay and shrink
+   also accept the key as [--probe]. *)
+let struct_key ?(probe = false) presence doc =
+  let info names =
+    Arg.info (if probe then names @ [ "probe" ] else names) ~docv:"KEY" ~doc
   in
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "struct" ] ~docv:"KEY" ~doc)
+  presence (Arg.opt (Arg.some Arg.string) None (info [ "struct" ]))
+
+let struct_doc what =
+  Printf.sprintf "%s ($(b,compass specs) lists them): %s." what
+    (String.concat ", "
+       (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
+
+let all_arg doc = Arg.(value & flag & info [ "all" ] ~doc)
+
+(* Runner-side errors (unknown keys, bad [--weaken] specs, missing
+   scenarios) print one line to stderr and exit 2. *)
+let ( let* ) r f =
+  match r with
+  | Ok x -> f x
+  | Error msg ->
+      Format.eprintf "%s@." msg;
+      2
+
+(* The one registry lookup behind [--struct], [--probe], [--all] and the
+   positional [check IMPL]. *)
+let lookup key =
+  match Specreg.find key with
+  | Some e -> Ok e
+  | None ->
+      Error
+        (Printf.sprintf "unknown structure %s (try: %s)" key
+           (String.concat ", " (Specreg.keys ())))
+
+(* [--struct KEY] or [--all] (every entry [all] returns), exactly one. *)
+let select ~all = function
+  | Some key, false -> Result.map (fun e -> [ e ]) (lookup key)
+  | None, true -> Ok (all ())
+  | _ -> Error "pass exactly one of --struct KEY or --all"
+
+let scenario_arg doc =
+  Arg.(value & opt nonneg_int 0 & info [ "scenario" ] ~docv:"I" ~doc)
+
+let scenario (e : Libspec.entry) i =
+  match Specreg.scenario e i with
+  | Some mk -> Ok mk
+  | None ->
+      Error (Printf.sprintf "structure %s has no scenario %d" e.Libspec.key i)
+
+(* [--weaken SITE=MODE] (repeatable), parsed into one override set. *)
+let weaken doc =
+  let parse specs =
+    Result.map_error
+      (fun e -> "bad --weaken spec: " ^ e)
+      (Override.of_specs specs)
+  in
+  let specs =
+    Arg.(value & opt_all string [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc)
+  in
+  Term.(const parse $ specs)
+
+let script presence doc =
+  presence
+    Arg.(opt (some script_conv) None & info [ "script" ] ~docv:"N,N,..." ~doc)
+
+let expect_violation doc = Arg.(value & flag & info [ "expect-violation" ] ~doc)
 
 let json_arg =
   let doc = "Also write the analysis report as JSON to $(docv)." in
@@ -199,14 +305,6 @@ let json_arg =
 let write_json ?seed ~tool path json =
   Compass_util.Report.write ?seed ~tool ~file:path json;
   Format.printf "JSON report written to %s@." path
-
-let with_entry key f =
-  match Specreg.find key with
-  | Some e -> f e
-  | None ->
-      Format.eprintf "unknown structure %s (try: %s)@." key
-        (String.concat ", " (Specreg.keys ()));
-      2
 
 (* CI gate: [--strict] turns findings into a nonzero exit, not just
    internal errors (race pairs for [analyze races], over-strong/unknown
@@ -225,7 +323,79 @@ let mgc_depth_arg =
      sequences up to $(docv) requests (with every release/acquire \
      flag-handoff position)."
   in
-  Arg.(value & opt int 2 & info [ "mgc-depth" ] ~docv:"D" ~doc)
+  Arg.(value & opt pos_int 2 & info [ "mgc-depth" ] ~docv:"D" ~doc)
+
+(* A word a POSIX shell reads back as [s]: plain words stay as they are,
+   anything else (a client id such as [i|i], the empty script) is quoted. *)
+let shell_word s =
+  let plain = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | ',' | '.' | '_' | '-' -> true
+    | _ -> false
+  in
+  if s <> "" && String.for_all plain s then s else Filename.quote s
+
+(* The replay line printed under a refine or sim counterexample; [client]
+   is [`Refine i] or [`Sim (id, mgc_depth)]. *)
+let print_replay_hint key client choices =
+  Format.printf "replay it: compass replay --struct %s %s --script %s@." key
+    (match client with
+    | `Refine i -> Printf.sprintf "--refine-client %d" i
+    | `Sim (id, depth) ->
+        Printf.sprintf "--sim-client %s --mgc-depth %d" (shell_word id) depth)
+    (shell_word (script_string choices))
+
+(* Exit-code policy shared by [refine] and [sim]: [--strict] compares the
+   verdict against the registry's [expect_violation] expectation (like
+   [analyze static]), so checked-in broken fixtures gate as green when
+   they do fail; [--expect-violation] inverts the plain verdict. *)
+let exit_code ~strict ~expect ~expect_violation ok =
+  if strict then if ok <> expect_violation then 0 else 1
+  else if expect then if ok then 1 else 0
+  else if ok then 0
+  else 1
+
+let refinable (e : Libspec.entry) =
+  if e.Libspec.refinable then Ok ()
+  else Error (Printf.sprintf "structure %s is not refinable" e.Libspec.key)
+
+(* Forward simulation over [entries], for [sim] and [refine
+   --method=simulation]: report, replay hint and strict mismatch line per
+   entry, then the JSON (one report, or a [structures] list). *)
+let simulate ~tool ~options ~strict ~expect ~json entries =
+  let runs =
+    List.map
+      (fun (e : Libspec.entry) ->
+        let r = Sim.run ~options e in
+        Format.printf "%a@." Sim.pp r;
+        Option.iter
+          (fun w ->
+            print_replay_hint e.Libspec.key
+              (`Sim (w.Sim.w_client, options.Sim.mgc_depth))
+              (Decision.choices w.Sim.w_trace))
+          r.Sim.witness;
+        let code =
+          exit_code ~strict ~expect
+            ~expect_violation:e.Libspec.expect_violation r.Sim.ok
+        in
+        if strict && code <> 0 then
+          Format.printf
+            "EXPECTATION MISMATCH: %s %s but the registry expects %s@."
+            e.Libspec.key
+            (if r.Sim.ok then "simulates" else "breaks")
+            (if e.Libspec.expect_violation then "a violation" else "success");
+        (r, code))
+      entries
+  in
+  Option.iter
+    (fun file ->
+      write_json ~tool file
+        (match runs with
+        | [ (r, _) ] -> Sim.to_json r
+        | rs ->
+            let structures = List.map (fun (r, _) -> Sim.to_json r) rs in
+            J.Obj [ ("structures", J.List structures) ]))
+    json;
+  List.fold_left (fun acc (_, code) -> max acc code) 0 runs
 
 (* -- litmus -------------------------------------------------------------------- *)
 
@@ -234,8 +404,7 @@ let litmus_cmd =
     let doc = "Use the Gap timestamp policy (enables mo-middle insertion, e.g. 2+2W)." in
     Arg.(value & flag & info [ "gap" ] ~doc)
   in
-  let run gap execs jobs reduce incremental stride split_depth =
-    warn_split_depth split_depth;
+  let run gap x =
     let config =
       { Machine.default_config with policy = (if gap then `Gap else `Append) }
     in
@@ -246,7 +415,8 @@ let litmus_cmd =
     List.iter
       (fun (t : Litmus.t) ->
         let ok, report, obs =
-          Litmus.verdict ~max_execs:execs ~config ~jobs ~reduce ~incremental ~stride t
+          Litmus.verdict ~max_execs:x.execs ~config ~jobs:x.jobs
+            ~reduce:x.reduce ~incremental:x.incremental ~stride:x.stride t
         in
         if not ok then code := 1;
         Format.printf "%-12s %-42s expect %-10s observed %-8d execs %-8d %s@."
@@ -260,10 +430,7 @@ let litmus_cmd =
     !code
   in
   let doc = "Run the litmus-test battery against the ORC11 substrate." in
-  Cmd.v (Cmd.info "litmus" ~doc)
-    Term.(
-      const run $ gap $ execs $ jobs $ reduce $ incremental $ stride
-      $ split_depth)
+  Cmd.v (Cmd.info "litmus" ~doc) Term.(const run $ gap $ exploration ())
 
 (* -- client -------------------------------------------------------------------- *)
 
@@ -292,19 +459,17 @@ let client_cmd =
           None
       & info [] ~docv:"CLIENT" ~doc)
   in
-  let run which factory random execs seed jobs reduce incremental stride
-      split_depth =
-    warn_split_depth split_depth;
+  let run which factory x =
     match which with
     | `Mp ->
         let st = Mp.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Mp.make factory st) in
+        let r = explore x (Mp.make factory st) in
         let code = finish r in
         Format.printf "%a@." Mp.pp_stats st;
         if st.Mp.right_empty > 0 then 1 else code
     | `Mp_weak ->
         let st = Mp.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Mp.make_weak factory st) in
+        let r = explore x (Mp.make_weak factory st) in
         let code = finish r in
         Format.printf "%a@." Mp.pp_stats st;
         Format.printf
@@ -314,20 +479,20 @@ let client_cmd =
     | `Spsc ->
         let st = Spsc_client.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Spsc_client.make ~n:3 factory st)
+          explore x (Spsc_client.make ~n:3 factory st)
         in
         finish r
     | `Pipeline ->
         let st = Pipeline.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride
+          explore x
             (Pipeline.make ~n:2 factory Hwqueue.instantiate st)
         in
         finish r
     | `Resource ->
         let st = Resource_exchange.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Resource_exchange.make ~threads:2 st)
+          explore x (Resource_exchange.make ~threads:2 st)
         in
         let code = finish r in
         Format.printf "swaps %d, failed exchanges %d@."
@@ -336,7 +501,7 @@ let client_cmd =
     | `Es ->
         let st = Es_compose.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride
+          explore x
             (Es_compose.make ~pushers:2 ~poppers:2 ~ops:1 st)
         in
         let code = finish r in
@@ -346,7 +511,7 @@ let client_cmd =
     | `Mp_stack ->
         let st = Mp_stack.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Mp_stack.make Treiber.instantiate st)
+          explore x (Mp_stack.make Treiber.instantiate st)
         in
         let code = finish r in
         Format.printf "right pop: got %d, empty %d@." st.Mp_stack.right_got
@@ -354,11 +519,11 @@ let client_cmd =
         code
     | `Strong_fifo ->
         let st = Strong_fifo.fresh_stats () in
-        let r = run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride (Strong_fifo.make factory st) in
+        let r = explore x (Strong_fifo.make factory st) in
         let code = finish r in
         let broke = ref 0 in
         let rc =
-          run_mode ~random ~execs:(execs / 2) ~seed ~jobs ~reduce ~incremental ~stride
+          explore { x with execs = x.execs / 2 }
             (Strong_fifo.make_control factory broke)
         in
         Format.printf
@@ -369,7 +534,7 @@ let client_cmd =
     | `Ws ->
         let st = Ws_client.fresh_stats () in
         let r =
-          run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride
+          explore x
             (Ws_client.make ~tasks:2 ~thieves:1 ~steals:1 st)
         in
         let code = finish r in
@@ -378,7 +543,7 @@ let client_cmd =
     | `Ws_weak ->
         let st = Ws_client.fresh_stats () in
         let r =
-          Explore.random ~execs ~seed
+          Explore.random ~execs:x.execs ~seed:x.seed
             (Ws_client.make ~weak_fences:true ~tasks:2 ~thieves:1 ~steals:2 st)
         in
         ignore (finish r);
@@ -389,87 +554,54 @@ let client_cmd =
   in
   let doc = "Model-check one of the paper's client verifications." in
   Cmd.v (Cmd.info "client" ~doc)
-    Term.(
-      const run $ which $ queue_arg $ random_mode $ execs $ seed $ jobs $ reduce
-      $ incremental $ stride $ split_depth)
+    Term.(const run $ which $ queue_arg $ exploration ~sampling:true ())
 
 (* -- check --------------------------------------------------------------------- *)
 
 let check_cmd =
+  (* The legacy positional form: each value names the registry entry with
+     the same factory. *)
   let which =
     let doc =
       "Implementation (legacy positional form; prefer $(b,--struct)): \
        $(b,ms), $(b,hw), $(b,treiber), or $(b,es)."
     in
-    Arg.(
-      value
-      & pos 0 (some (enum
-                       [
-                         ("ms", `Q Msqueue.instantiate);
-                         ("hw", `Q Hwqueue.instantiate);
-                         ("treiber", `S Treiber.instantiate);
-                         ("es", `S Elimination.instantiate);
-                       ]))
-          None
-      & info [] ~docv:"IMPL" ~doc)
-  in
-  let struct_key =
-    let doc =
-      Printf.sprintf
-        "Registered structure to check ($(b,compass specs) lists them): %s."
-        (String.concat ", "
-           (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
-    in
-    Arg.(value & opt (some string) None & info [ "struct" ] ~docv:"KEY" ~doc)
+    let keys = List.map (fun k -> (k, k)) [ "ms"; "hw"; "treiber"; "es" ] in
+    Arg.(value & pos 0 (some (enum keys)) None & info [] ~docv:"IMPL" ~doc)
   in
   let threads =
-    Arg.(value & opt int 2 & info [ "threads"; "t" ] ~docv:"N"
+    Arg.(value & opt pos_int 2 & info [ "threads"; "t" ] ~docv:"N"
            ~doc:"Producer and consumer threads (each).")
   in
   let ops =
-    Arg.(value & opt int 1 & info [ "ops"; "o" ] ~docv:"N"
+    Arg.(value & opt pos_int 1 & info [ "ops"; "o" ] ~docv:"N"
            ~doc:"Operations per thread.")
   in
-  let run which struct_key style threads ops random execs seed jobs reduce
-      incremental stride split_depth =
-    warn_split_depth split_depth;
-    let impl =
-      match (struct_key, which) with
-      | Some key, _ -> (
-          match Specreg.find key with
-          | None ->
-              Error
-                (Printf.sprintf "unknown structure %s (try: %s)" key
-                   (String.concat ", " (Specreg.keys ())))
-          | Some e -> (
-              match e.Libspec.impl with
-              | Specreg.Queue f -> Ok (`Q f)
-              | Specreg.Stack f -> Ok (`S f)
-              | _ ->
-                  Error
-                    (Printf.sprintf
-                       "%s has no generic workload factory — run its \
-                        registered clients via compass analyze/fuzz"
-                       key)))
-      | None, Some w -> Ok w
+  let run which key style threads ops x =
+    let* key =
+      match (key, which) with
+      | Some key, _ | None, Some key -> Ok key
       | None, None -> Error "give --struct KEY (or a positional IMPL)"
     in
-    match impl with
-    | Error msg ->
-        Format.eprintf "%s@." msg;
-        2
-    | Ok w ->
-        let sc =
-          match w with
-          | `Q f ->
-              Harness.queue_workload ~style f ~enqers:threads ~deqers:threads
-                ~ops ()
-          | `S f ->
-              Harness.stack_workload ~style f ~pushers:threads ~poppers:threads
-                ~ops ()
-        in
-        finish
-          (run_mode ~random ~execs ~seed ~jobs ~reduce ~incremental ~stride sc)
+    let* e = lookup key in
+    let* sc =
+      match e.Libspec.impl with
+      | Specreg.Queue f ->
+          Ok
+            (Harness.queue_workload ~style f ~enqers:threads ~deqers:threads
+               ~ops ())
+      | Specreg.Stack f ->
+          Ok
+            (Harness.stack_workload ~style f ~pushers:threads ~poppers:threads
+               ~ops ())
+      | _ ->
+          Error
+            (Printf.sprintf
+               "%s has no generic workload factory — run its registered \
+                clients via compass analyze/fuzz"
+               key)
+    in
+    finish (explore x sc)
   in
   let doc =
     "Explore a workload on an implementation (resolved through the spec \
@@ -478,8 +610,10 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const run $ which $ struct_key $ style_arg $ threads $ ops $ random_mode
-      $ execs $ seed $ jobs $ reduce $ incremental $ stride $ split_depth)
+      const run $ which
+      $ struct_key Arg.value (struct_doc "Registered structure to check")
+      $ style_arg $ threads $ ops
+      $ exploration ~sampling:true ())
 
 (* -- specs --------------------------------------------------------------------- *)
 
@@ -564,13 +698,6 @@ let specs_cmd =
 (* -- refine -------------------------------------------------------------------- *)
 
 let refine_cmd =
-  let expect_violation =
-    let doc =
-      "Invert the exit code: succeed only if refinement fails (for \
-       known-broken fixtures in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
   let method_arg =
     let doc =
       "Refinement method: $(b,outcomes) (per-client outcome inclusion in \
@@ -584,73 +711,36 @@ let refine_cmd =
           `Outcomes
       & info [ "method" ] ~docv:"METHOD" ~doc)
   in
-  (* Exit-code policy shared with [compass sim]: [--strict] compares the
-     verdict against the registry's [expect_violation] expectation (like
-     [analyze static]), so checked-in broken fixtures gate as green when
-     they do fail. *)
-  let exit_code ~strict ~expect ~expect_violation ok =
-    if strict then if ok <> expect_violation then 0 else 1
-    else if expect then if ok then 1 else 0
-    else if ok then 0
-    else 1
-  in
-  let run struct_key execs jobs reduce meth depth strict json expect =
-    with_entry struct_key (fun e ->
-        if not e.Libspec.refinable then begin
-          Format.eprintf "structure %s is not refinable@." struct_key;
-          2
-        end
-        else
-          match meth with
-          | `Outcomes ->
-              let options =
-                { Refine.default_options with max_execs = execs; jobs; reduce }
-              in
-              let r = Refine.run ~options e in
-              Format.printf "%a@." Refine.pp r;
-              (match r.Refine.counterexample with
-              | Some (i, f) ->
-                  Format.printf
-                    "replay it: compass replay --struct %s --refine-client %d \
-                     --script %s@."
-                    struct_key i
-                    (String.concat ","
-                       (List.map string_of_int
-                          (Array.to_list (Explore.failure_script f))))
-              | None -> ());
-              Option.iter
-                (fun file ->
-                  write_json ~tool:"refine" file (Refine.to_json r))
-                json;
-              exit_code ~strict ~expect
-                ~expect_violation:e.Libspec.expect_violation r.Refine.ok
-          | `Simulation ->
-              let options =
-                {
-                  Sim.default_options with
-                  mgc_depth = depth;
-                  max_execs = execs;
-                  jobs;
-                  reduce;
-                }
-              in
-              let r = Sim.run ~options e in
-              Format.printf "%a@." Sim.pp r;
-              (match r.Sim.witness with
-              | Some w ->
-                  Format.printf
-                    "replay it: compass replay --struct %s --sim-client %s \
-                     --script %s@."
-                    struct_key w.Sim.w_client
-                    (String.concat ","
-                       (List.map string_of_int
-                          (Array.to_list (Decision.choices w.Sim.w_trace))))
-              | None -> ());
-              Option.iter
-                (fun file -> write_json ~tool:"refine" file (Sim.to_json r))
-                json;
-              exit_code ~strict ~expect
-                ~expect_violation:e.Libspec.expect_violation r.Sim.ok)
+  let run key execs jobs reduce meth depth strict json expect =
+    let* e = lookup key in
+    let* () = refinable e in
+    match meth with
+    | `Outcomes ->
+        let options =
+          { Refine.default_options with max_execs = execs; jobs; reduce }
+        in
+        let r = Refine.run ~options e in
+        Format.printf "%a@." Refine.pp r;
+        Option.iter
+          (fun (i, f) ->
+            print_replay_hint key (`Refine i) (Explore.failure_script f))
+          r.Refine.counterexample;
+        Option.iter
+          (fun file -> write_json ~tool:"refine" file (Refine.to_json r))
+          json;
+        exit_code ~strict ~expect ~expect_violation:e.Libspec.expect_violation
+          r.Refine.ok
+    | `Simulation ->
+        let options =
+          {
+            Sim.default_options with
+            mgc_depth = depth;
+            max_execs = execs;
+            jobs;
+            reduce;
+          }
+        in
+        simulate ~tool:"refine" ~options ~strict ~expect ~json [ e ]
   in
   let doc =
     "Check refinement of an implementation against its spec object \
@@ -664,20 +754,17 @@ let refine_cmd =
   in
   Cmd.v (Cmd.info "refine" ~doc)
     Term.(
-      const run $ struct_arg $ execs $ jobs $ reduce $ method_arg
-      $ mgc_depth_arg $ strict_arg $ json_arg $ expect_violation)
+      const run
+      $ struct_key Arg.required (struct_doc "Registered structure")
+      $ execs () $ jobs $ reduce () $ method_arg $ mgc_depth_arg $ strict_arg
+      $ json_arg
+      $ expect_violation
+          "Invert the exit code: succeed only if refinement fails (for \
+           known-broken fixtures in CI).")
 
 (* -- sim ------------------------------------------------------------------------ *)
 
 let sim_cmd =
-  let struct_opt_arg =
-    let doc = "Check one registered structure ($(b,compass specs) lists them)." in
-    Arg.(value & opt (some string) None & info [ "struct" ] ~docv:"KEY" ~doc)
-  in
-  let all_arg =
-    let doc = "Check every refinable registered structure." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
   let client_arg =
     let doc =
       "Restrict to one generated client id (e.g. $(b,ii|r+h2.1)) instead \
@@ -692,106 +779,37 @@ let sim_cmd =
     Arg.(value & flag & info [ "until-violation" ] ~doc)
   in
   (* Like the analyzers, simulation defaults to sleep-set reduction: the
-     verdict is reduction-invariant (it only reads event graphs, which
-     reductions preserve per Mazurkiewicz trace), so reduction is pure
-     speedup. *)
+     verdict only reads event graphs, which sleep sets and DPOR preserve
+     per Mazurkiewicz trace, so reduction is pure speedup. *)
   let sim_reduce =
     let doc =
-      "Partial-order reduction (default $(b,sleep); $(b,dpor) switches \
-       to source-DPOR, $(b,--reduce=none) explores the full tree).  \
-       Simulation verdicts are invariant under all three."
+      sleep_default_doc
+      ^ "  Sleep sets and DPOR preserve simulation verdicts (they keep \
+         every Mazurkiewicz trace); $(b,dpor-rf) keeps one execution per \
+         rf⊕mo class, which is not yet checked to preserve them."
     in
-    Arg.(
-      value
-      & opt ~vopt:Machine.RSleep reduction_conv Machine.RSleep
-      & info [ "reduce" ] ~docv:"RED" ~doc)
+    reduce ~default:Machine.RSleep ~doc ()
   in
-  let sim_execs =
-    let doc = "Exploration budget per generated client." in
-    Arg.(value & opt pos_int 50_000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
-  in
-  let run struct_opt all client depth execs jobs reduce incremental until
-      strict json =
-    let entries =
-      match (struct_opt, all) with
-      | Some key, false -> (
-          match Specreg.find key with
-          | Some e -> Ok [ e ]
-          | None -> Error key)
-      | None, true ->
-          Ok (List.filter (fun e -> e.Libspec.refinable) (Specreg.all ()))
-      | Some _, true -> Error "--struct and --all are exclusive"
-      | None, false -> Error "one of --struct or --all is required"
+  let run key all client depth execs jobs reduce incremental until strict json
+      =
+    let* entries =
+      select (key, all) ~all:(fun () ->
+          List.filter (fun e -> e.Libspec.refinable) (Specreg.all ()))
     in
-    match entries with
-    | Error what ->
-        Format.eprintf "compass sim: %s (try: %s)@." what
-          (String.concat ", " (Specreg.keys ()));
-        2
-    | Ok entries ->
-        let options =
-          {
-            Sim.default_options with
-            mgc_depth = depth;
-            max_execs = execs;
-            jobs;
-            reduce;
-            incremental;
-            until_violation = until;
-            only_client = client;
-          }
-        in
-        let code = ref 0 in
-        let reports =
-          List.map
-            (fun (e : Libspec.entry) ->
-              if not e.Libspec.refinable then begin
-                Format.eprintf "structure %s is not refinable@."
-                  e.Libspec.key;
-                code := 2;
-                None
-              end
-              else begin
-                let r = Sim.run ~options e in
-                Format.printf "%a@." Sim.pp r;
-                (match r.Sim.witness with
-                | Some w ->
-                    Format.printf
-                      "replay it: compass replay --struct %s --sim-client \
-                       %s --mgc-depth %d --script %s@."
-                      e.Libspec.key w.Sim.w_client depth
-                      (String.concat ","
-                         (List.map string_of_int
-                            (Array.to_list (Decision.choices w.Sim.w_trace))))
-                | None -> ());
-                let bad =
-                  if strict then r.Sim.ok = e.Libspec.expect_violation
-                  else not r.Sim.ok
-                in
-                if bad && !code = 0 then code := 1;
-                if strict && bad then
-                  Format.printf
-                    "EXPECTATION MISMATCH: %s %s but the registry expects \
-                     %s@."
-                    e.Libspec.key
-                    (if r.Sim.ok then "simulates" else "breaks")
-                    (if e.Libspec.expect_violation then "a violation"
-                     else "success");
-                Some r
-              end)
-            entries
-          |> List.filter_map Fun.id
-        in
-        Option.iter
-          (fun file ->
-            let json =
-              match reports with
-              | [ r ] -> Sim.to_json r
-              | rs -> J.Obj [ ("structures", J.List (List.map Sim.to_json rs)) ]
-            in
-            write_json ~tool:"sim" file json)
-          json;
-        !code
+    let* () = match entries with [ e ] -> refinable e | _ -> Ok () in
+    let options =
+      {
+        Sim.default_options with
+        mgc_depth = depth;
+        max_execs = execs;
+        jobs;
+        reduce;
+        incremental;
+        until_violation = until;
+        only_client = client;
+      }
+    in
+    simulate ~tool:"sim" ~options ~strict ~expect:false ~json entries
   in
   let doc =
     "Forward-simulation refinement over most-general clients: enumerate \
@@ -804,9 +822,13 @@ let sim_cmd =
   in
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
-      const run $ struct_opt_arg $ all_arg $ client_arg $ mgc_depth_arg
-      $ sim_execs $ jobs $ sim_reduce $ incremental $ until_arg
-      $ strict_arg $ json_arg)
+      const run
+      $ struct_key Arg.value
+          "Check one registered structure ($(b,compass specs) lists them)."
+      $ all_arg "Check every refinable registered structure."
+      $ client_arg $ mgc_depth_arg
+      $ execs ~default:50_000 ~doc:"Exploration budget per generated client." ()
+      $ jobs $ sim_reduce $ incremental $ until_arg $ strict_arg $ json_arg)
 
 (* -- matrix --------------------------------------------------------------------- *)
 
@@ -823,7 +845,7 @@ let matrix_cmd =
     "Run the spec-style satisfaction matrix (experiment E2): every \
      implementation against every spec style."
   in
-  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ execs $ jobs $ reduce)
+  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ execs () $ jobs $ reduce ())
 
 (* -- dot ------------------------------------------------------------------------ *)
 
@@ -903,7 +925,7 @@ let dot_cmd =
 (* -- axioms ------------------------------------------------------------------------ *)
 
 let axioms_cmd =
-  let run execs jobs reduce incremental stride =
+  let run x =
     (* Differential validation: every execution of the litmus battery and
        a workload per structure must satisfy the RC11 axioms when rebuilt
        declaratively from the recorded accesses. *)
@@ -928,10 +950,7 @@ let axioms_cmd =
     in
     let code = ref 0 in
     let run_sc sc =
-      let r =
-        Explore.pdfs ~jobs ~max_execs:execs ~reduce ~incremental ~stride
-          ~config (with_rc11 sc)
-      in
+      let r = explore ~config x (with_rc11 sc) in
       if not (Explore.ok r) then code := 1;
       Format.printf "%-38s %7d executions  %s@." r.Explore.name
         r.Explore.executions
@@ -948,8 +967,7 @@ let axioms_cmd =
     "Differentially validate the operational semantics against the RC11 \
      axioms (po/rf/mo/fr/sw/hb rebuilt from recorded accesses)."
   in
-  Cmd.v (Cmd.info "axioms" ~doc)
-    Term.(const run $ execs $ jobs $ reduce $ incremental $ stride)
+  Cmd.v (Cmd.info "axioms" ~doc) Term.(const run $ exploration ())
 
 (* -- analyze ----------------------------------------------------------------------- *)
 
@@ -957,15 +975,7 @@ let axioms_cmd =
    reduction: the audit needs *complete* explorations to call a mode
    over-strong, and reduction keeps them small without losing
    violations. *)
-let analyze_reduce =
-  let doc =
-    "Partial-order reduction (default $(b,sleep); $(b,dpor) switches to \
-     source-DPOR, $(b,--reduce=none) explores the full tree)."
-  in
-  Arg.(
-    value
-    & opt ~vopt:Machine.RSleep reduction_conv Machine.RSleep
-    & info [ "reduce" ] ~docv:"RED" ~doc)
+let analyze_reduce = reduce ~default:Machine.RSleep ~doc:sleep_default_doc ()
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -973,33 +983,33 @@ let contains ~sub s =
   n = 0 || go 0
 
 let analyze_races_cmd =
-  let run struct_key execs reduce incremental stride strict json =
-    with_entry struct_key (fun e ->
-        let agg = Races.agg_create () in
-        let config =
-          { Machine.default_config with record_accesses = true }
+  let run key execs reduce incremental stride strict json =
+    let* e = lookup key in
+    let agg = Races.agg_create () in
+    let config =
+      { Machine.default_config with record_accesses = true }
+    in
+    List.iter
+      (fun mk ->
+        let sc =
+          Instrument.with_accesses (mk ()) (fun log ->
+              Races.agg_add agg log)
         in
-        List.iter
-          (fun mk ->
-            let sc =
-              Instrument.with_accesses (mk ()) (fun log ->
-                  Races.agg_add agg log)
-            in
-            let r =
-              Explore.dfs ~max_execs:execs ~reduce ~incremental ~stride ~config
-                sc
-            in
-            Format.printf "%-38s %7d executions analysed@." r.Explore.name
-              r.Explore.executions)
-          e.Libspec.scenarios;
-        let s = Races.summary agg in
-        Format.printf "@.%a@." Races.pp_summary s;
-        Option.iter
-          (fun f -> write_json ~tool:"analyze-races" f (Races.summary_to_json s))
-          json;
-        if s.Races.mismatch_count > 0 then 1
-        else if strict && s.Races.total_pairs > 0 then 1
-        else 0)
+        let r =
+          Explore.dfs ~max_execs:execs ~reduce ~incremental ~stride ~config
+            sc
+        in
+        Format.printf "%-38s %7d executions analysed@." r.Explore.name
+          r.Explore.executions)
+      e.Libspec.scenarios;
+    let s = Races.summary agg in
+    Format.printf "@.%a@." Races.pp_summary s;
+    Option.iter
+      (fun f -> write_json ~tool:"analyze-races" f (Races.summary_to_json s))
+      json;
+    if s.Races.mismatch_count > 0 then 1
+    else if strict && s.Races.total_pairs > 0 then 1
+    else 0
   in
   let doc =
     "Explore a structure's registered clients with access recording on, detect \
@@ -1010,8 +1020,10 @@ let analyze_races_cmd =
   in
   Cmd.v (Cmd.info "races" ~doc)
     Term.(
-      const run $ struct_arg $ execs $ analyze_reduce $ incremental $ stride
-      $ strict_arg $ json_arg)
+      const run
+      $ struct_key Arg.required (struct_doc "Registered structure")
+      $ execs () $ analyze_reduce $ incremental $ stride $ strict_arg
+      $ json_arg)
 
 let analyze_modes_cmd =
   let site_arg =
@@ -1030,42 +1042,43 @@ let analyze_modes_cmd =
       & opt (Arg.enum [ ("none", `None); ("static", `Static) ]) `None
       & info [ "prioritize" ] ~docv:"ORDER" ~doc)
   in
-  let run struct_key execs jobs reduce site prio strict json =
-    with_entry struct_key (fun e ->
-        let options = { Audit.default_options with execs; jobs; reduce } in
-        let site_filter =
-          match site with
-          | None -> fun _ -> true
-          | Some sub -> fun s -> contains ~sub s
-        in
-        let prioritize, verdict_first =
-          match prio with
-          | `None -> ([], fun _ -> false)
-          | `Static ->
-              let st =
-                Static.analyze ~subject:e.Libspec.key e.Libspec.scenarios
-              in
-              let predicted = st.Static.predicted_necessary in
-              Format.printf "static priority: %s@."
-                (match predicted @ st.Static.over_strong with
-                | [] -> "(none)"
-                | order -> String.concat ", " order);
-              ( predicted @ st.Static.over_strong,
-                fun s -> List.mem s predicted )
-        in
-        let report =
-          Audit.run ~options ~site_filter ~prioritize ~verdict_first
-            ~log:(fun line -> Format.printf "%s@." line)
-            ~probe:e.Libspec.key e.Libspec.scenarios
-        in
-        Format.printf "@.%a@." Audit.pp_report report;
-        Option.iter
-          (fun f -> write_json ~tool:"analyze-modes" f (Audit.report_to_json report))
-          json;
-        if not report.Audit.baseline_ok then 1
-        else
-          let _, over_strong, unknown, _ = Audit.counts report in
-          if strict && over_strong + unknown > 0 then 1 else 0)
+  let run key execs jobs reduce site prio strict json =
+    let* e = lookup key in
+    let options = { Audit.default_options with execs; jobs; reduce } in
+    let site_filter =
+      match site with
+      | None -> fun _ -> true
+      | Some sub -> fun s -> contains ~sub s
+    in
+    let prioritize, verdict_first =
+      match prio with
+      | `None -> ([], fun _ -> false)
+      | `Static ->
+          let st =
+            Static.analyze ~subject:e.Libspec.key e.Libspec.scenarios
+          in
+          let predicted = st.Static.predicted_necessary in
+          Format.printf "static priority: %s@."
+            (match predicted @ st.Static.over_strong with
+            | [] -> "(none)"
+            | order -> String.concat ", " order);
+          ( predicted @ st.Static.over_strong,
+            fun s -> List.mem s predicted )
+    in
+    let report =
+      Audit.run ~options ~site_filter ~prioritize ~verdict_first
+        ~log:(fun line -> Format.printf "%s@." line)
+        ~probe:e.Libspec.key e.Libspec.scenarios
+    in
+    Format.printf "@.%a@." Audit.pp_report report;
+    Option.iter
+      (fun f ->
+        write_json ~tool:"analyze-modes" f (Audit.report_to_json report))
+      json;
+    if not report.Audit.baseline_ok then 1
+    else
+      let _, over_strong, unknown, _ = Audit.counts report in
+      if strict && over_strong + unknown > 0 then 1 else 0
   in
   let doc =
     "The mode-necessity audit: for every labeled atomic site (and fence) \
@@ -1079,93 +1092,52 @@ let analyze_modes_cmd =
   in
   Cmd.v (Cmd.info "modes" ~doc)
     Term.(
-      const run $ struct_arg $ execs $ jobs $ analyze_reduce $ site_arg
-      $ prioritize_arg $ strict_arg $ json_arg)
+      const run
+      $ struct_key Arg.required (struct_doc "Registered structure")
+      $ execs () $ jobs $ analyze_reduce $ site_arg $ prioritize_arg
+      $ strict_arg $ json_arg)
 
 let analyze_static_cmd =
-  let struct_opt_arg =
-    let doc =
-      Printf.sprintf "Structure to lint ($(b,compass specs) lists them): %s."
-        (String.concat ", "
-           (List.map (fun k -> Printf.sprintf "$(b,%s)" k) (Specreg.keys ())))
+  let run key all overrides strict json =
+    let* overrides = overrides in
+    let* entries = select (key, all) ~all:Specreg.all in
+    let mismatched = ref [] in
+    let reports =
+      List.map
+        (fun (e : Libspec.entry) ->
+          let r =
+            Static.analyze ~overrides ~subject:e.Libspec.key
+              e.Libspec.scenarios
+          in
+          Format.printf "%a@." Static.pp_report r;
+          (* With an explicit [--weaken] the registry expectation does not
+             apply — strict then simply demands a clean report. *)
+          let ok =
+            if Override.is_empty overrides then
+              Static.clean r = not e.Libspec.expect_violation
+            else Static.clean r
+          in
+          Format.printf "verdict: %s%s@.@."
+            (if Static.clean r then "clean" else "flagged")
+            (if ok then ""
+             else if Override.is_empty overrides then
+               Printf.sprintf " (expected %s)"
+                 (if e.Libspec.expect_violation then "flagged" else "clean")
+             else "");
+          if not ok then mismatched := e.Libspec.key :: !mismatched;
+          Static.report_to_json r)
+        entries
     in
-    Arg.(value & opt (some string) None & info [ "struct" ] ~docv:"KEY" ~doc)
-  in
-  let all_arg =
-    let doc = "Lint every registered structure." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let weaken_arg =
-    let doc =
-      "Lint under a hypothetical weakening (repeatable): $(b,site=mode), \
-       the same specs $(b,compass replay --weaken) takes."
-    in
-    Arg.(value & opt_all string [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc)
-  in
-  let run struct_key all weaken strict json =
-    match Override.of_specs weaken with
-    | Error e ->
-        Format.eprintf "bad --weaken spec: %s@." e;
-        2
-    | Ok overrides -> (
-        let entries =
-          match (struct_key, all) with
-          | None, true -> Ok (Specreg.all ())
-          | Some k, false -> (
-              match Specreg.find k with
-              | Some e -> Ok [ e ]
-              | None ->
-                  Error
-                    (Printf.sprintf "unknown structure %s (try: %s)" k
-                       (String.concat ", " (Specreg.keys ()))))
-          | None, false | Some _, true ->
-              Error "pass exactly one of --struct KEY or --all"
-        in
-        match entries with
-        | Error msg ->
-            Format.eprintf "%s@." msg;
-            2
-        | Ok entries ->
-            let mismatched = ref [] in
-            let reports =
-              List.map
-                (fun (e : Libspec.entry) ->
-                  let r =
-                    Static.analyze ~overrides ~subject:e.Libspec.key
-                      e.Libspec.scenarios
-                  in
-                  Format.printf "%a@." Static.pp_report r;
-                  (* With an explicit [--weaken] the registry expectation
-                     does not apply — strict then simply demands a clean
-                     report. *)
-                  let ok =
-                    if Override.is_empty overrides then
-                      Static.clean r = not e.Libspec.expect_violation
-                    else Static.clean r
-                  in
-                  Format.printf "verdict: %s%s@.@."
-                    (if Static.clean r then "clean" else "flagged")
-                    (if ok then ""
-                     else if Override.is_empty overrides then
-                       Printf.sprintf " (expected %s)"
-                         (if e.Libspec.expect_violation then "flagged"
-                          else "clean")
-                     else "");
-                  if not ok then mismatched := e.Libspec.key :: !mismatched;
-                  Static.report_to_json r)
-                entries
-            in
-            Option.iter
-              (fun f ->
-                write_json ~tool:"analyze-static" f
-                  (J.Obj [ ("structures", J.List reports) ]))
-              json;
-            match List.rev !mismatched with
-            | [] -> 0
-            | keys ->
-                Format.eprintf "expectation mismatch: %s@."
-                  (String.concat ", " keys);
-                if strict then 1 else 0)
+    Option.iter
+      (fun f ->
+        write_json ~tool:"analyze-static" f
+          (J.Obj [ ("structures", J.List reports) ]))
+      json;
+    match List.rev !mismatched with
+    | [] -> 0
+    | keys ->
+        Format.eprintf "expectation mismatch: %s@." (String.concat ", " keys);
+        if strict then 1 else 0
   in
   let doc =
     "The static synchronization linter: evaluate a structure's registered \
@@ -1180,8 +1152,13 @@ let analyze_static_cmd =
   in
   Cmd.v (Cmd.info "static" ~doc)
     Term.(
-      const run $ struct_opt_arg $ all_arg $ weaken_arg $ strict_arg
-      $ json_arg)
+      const run
+      $ struct_key Arg.value (struct_doc "Structure to lint")
+      $ all_arg "Lint every registered structure."
+      $ weaken
+          "Lint under a hypothetical weakening (repeatable): $(b,site=mode), \
+           the same specs $(b,compass replay --weaken) takes."
+      $ strict_arg $ json_arg)
 
 let analyze_cmd =
   let doc =
@@ -1193,39 +1170,10 @@ let analyze_cmd =
 
 (* -- replay ------------------------------------------------------------------------ *)
 
+(* The plain MP client replay and shrink use without [--struct]. *)
+let mp_client factory () = Mp.make factory (Mp.fresh_stats ())
+
 let replay_cmd =
-  let script_arg =
-    let doc =
-      "Decision script: comma-separated choices (from a report's \
-       counterexample)."
-    in
-    Arg.(value & opt string "" & info [ "script" ] ~docv:"N,N,..." ~doc)
-  in
-  let weaken_arg =
-    let doc =
-      "Weaken a site while replaying (repeatable): $(b,site=mode) with an \
-       access mode ($(b,rlx), $(b,acq), $(b,rel), $(b,acq_rel)), a fence \
-       mode ($(b,fence_acq), ...), or $(b,drop) — the spec an audit \
-       counterexample prints."
-    in
-    Arg.(value & opt_all string [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc)
-  in
-  let probe_arg =
-    let doc =
-      "Replay against a registered structure's client scenario instead of \
-       the plain MP client (same scenarios the audit runs; see \
-       $(b,compass analyze))."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "struct"; "probe" ] ~docv:"KEY" ~doc)
-  in
-  let scenario_arg =
-    let doc = "Scenario index within the structure's registered clients \
-               (default 0, the MP client)." in
-    Arg.(value & opt int 0 & info [ "scenario" ] ~docv:"I" ~doc)
-  in
   let refine_client_arg =
     let doc =
       "Replay against the structure's $(docv)-th refinement observation \
@@ -1233,7 +1181,9 @@ let replay_cmd =
        registered scenarios — for $(b,compass refine) counterexamples."
     in
     Arg.(
-      value & opt (some int) None & info [ "refine-client" ] ~docv:"I" ~doc)
+      value
+      & opt (some nonneg_int) None
+      & info [ "refine-client" ] ~docv:"I" ~doc)
   in
   let sim_client_arg =
     let doc =
@@ -1254,99 +1204,84 @@ let replay_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let run factory script_str weaken probe scenario_idx refine_client
-      sim_client mgc_depth show_trace =
-    let script =
-      if script_str = "" then [||]
-      else
-        String.split_on_char ',' script_str
-        |> List.map int_of_string |> Array.of_list |> Decision.of_ints
+  (* The scenario to replay and the site labels [--weaken] may name. *)
+  let target factory key ~scenario_idx ~refine_client ~sim_client ~depth =
+    match key with
+    | None ->
+        Ok
+          ( mp_client factory (),
+            fun () -> List.map fst (Static.site_modes [ mp_client factory ]) )
+    | Some key ->
+        let missing what = Printf.sprintf "structure %s has no %s" key what in
+        Result.bind (lookup key) (fun e ->
+            let sc =
+              match (sim_client, refine_client) with
+              | Some id, _ ->
+                  Option.to_result
+                    ~none:
+                      (missing
+                         (Printf.sprintf "client %s at mgc depth %d" id depth))
+                    (Sim.client_scenario ~depth e id)
+              | None, Some i ->
+                  Option.to_result
+                    ~none:(missing (Printf.sprintf "refinement client %d" i))
+                    (Refine.client_scenario e i)
+              | None, None ->
+                  Result.map (fun mk -> mk ()) (scenario e scenario_idx)
+            in
+            Result.map
+              (fun sc -> (sc, fun () -> List.map fst (Specreg.sites e)))
+              sc)
+  in
+  let run factory script overrides key scenario_idx refine_client sim_client
+      depth show_trace =
+    let script = Option.value script ~default:(Decision.of_ints [||]) in
+    let* overrides = overrides in
+    let* sc, valid_sites =
+      target factory key ~scenario_idx ~refine_client ~sim_client ~depth
     in
-    match Override.of_specs weaken with
-    | Error e ->
-        Format.eprintf "bad --weaken spec: %s@." e;
-        2
-    | Ok overrides -> (
-        let sc =
-          match (probe, refine_client, sim_client) with
-          | None, _, _ -> Some (Mp.make factory (Mp.fresh_stats ()))
-          | Some key, _, Some id -> (
-              match Specreg.find key with
-              | Some e -> Sim.client_scenario ~depth:mgc_depth e id
-              | None -> None)
-          | Some key, Some i, None -> (
-              match Specreg.find key with
-              | Some e -> Refine.client_scenario e i
-              | None -> None)
-          | Some key, None, None -> (
-              match Specreg.find key with
-              | Some e -> (
-                  match Specreg.scenario e scenario_idx with
-                  | Some mk -> Some (mk ())
-                  | None -> None)
-              | None -> None)
-        in
-        match sc with
-        | None ->
-            Format.eprintf "unknown structure/scenario (try: %s)@."
-              (String.concat ", " (Specreg.keys ()));
-            2
-        | Some sc ->
-            (* An override naming a site that does not exist would
-               silently replay unweakened; check the labels the static
-               analyzer discovers for the chosen probe first. *)
-            let valid_sites =
-              if Override.is_empty overrides then []
-              else
-                match probe with
-                | Some key -> (
-                    match Specreg.find key with
-                    | Some e -> List.map fst (Specreg.sites e)
-                    | None -> [])
-                | None ->
-                    List.map fst
-                      (Static.site_modes
-                         [ (fun () -> Mp.make factory (Mp.fresh_stats ())) ])
-            in
-            let unknown_sites =
-              Override.spec_strings overrides
-              |> List.filter_map (fun spec ->
-                     match String.index_opt spec '=' with
-                     | Some i ->
-                         let site = String.sub spec 0 i in
-                         if List.mem site valid_sites then None
-                         else Some site
-                     | None -> None)
-            in
-            if unknown_sites <> [] then begin
-              Format.eprintf
-                "unknown --weaken site(s): %s@.valid sites: %s@."
-                (String.concat ", " unknown_sites)
-                (String.concat ", " valid_sites);
-              2
-            end
-            else begin
-            if not (Override.is_empty overrides) then
-              Format.printf "weakened: %a@." Override.pp overrides;
-            let config = { Machine.default_config with overrides } in
-            let r = Explore.replay ~config sc script in
-            if r.Explore.r_clamped > 0 then
-              Format.printf
-                "note: %d out-of-range choice(s) clamped to the last \
-                 alternative@."
-                r.Explore.r_clamped;
-            Format.printf "outcome: %a@.verdict: %s@.@.%a@."
-              Machine.pp_outcome r.Explore.r_outcome
-              (match r.Explore.r_verdict with
-              | Explore.Pass -> "pass"
-              | Explore.Violation s -> "VIOLATION: " ^ s
-              | Explore.Discard s -> "discard: " ^ s)
-              Trace.pp (Machine.trace r.Explore.r_machine);
-            if show_trace then
-              Format.printf "@.decision trace:@.%a@." Decision.pp_trace
-                r.Explore.r_trace;
-            0
-            end)
+    (* An override naming a site that does not exist would silently replay
+       unweakened; check the labels the static analyzer discovers for the
+       chosen probe first. *)
+    let valid_sites =
+      if Override.is_empty overrides then [] else valid_sites ()
+    in
+    let unknown_sites =
+      Override.spec_strings overrides
+      |> List.filter_map (fun spec ->
+             match String.index_opt spec '=' with
+             | Some i ->
+                 let site = String.sub spec 0 i in
+                 if List.mem site valid_sites then None else Some site
+             | None -> None)
+    in
+    if unknown_sites <> [] then begin
+      Format.eprintf "unknown --weaken site(s): %s@.valid sites: %s@."
+        (String.concat ", " unknown_sites)
+        (String.concat ", " valid_sites);
+      2
+    end
+    else begin
+      if not (Override.is_empty overrides) then
+        Format.printf "weakened: %a@." Override.pp overrides;
+      let config = { Machine.default_config with overrides } in
+      let r = Explore.replay ~config sc script in
+      if r.Explore.r_clamped > 0 then
+        Format.printf
+          "note: %d out-of-range choice(s) clamped to the last alternative@."
+          r.Explore.r_clamped;
+      Format.printf "outcome: %a@.verdict: %s@.@.%a@." Machine.pp_outcome
+        r.Explore.r_outcome
+        (match r.Explore.r_verdict with
+        | Explore.Pass -> "pass"
+        | Explore.Violation s -> "VIOLATION: " ^ s
+        | Explore.Discard s -> "discard: " ^ s)
+        Trace.pp (Machine.trace r.Explore.r_machine);
+      if show_trace then
+        Format.printf "@.decision trace:@.%a@." Decision.pp_trace
+          r.Explore.r_trace;
+      0
+    end
   in
   let doc =
     "Replay one execution from a decision script with full tracing — \
@@ -1356,16 +1291,28 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(
-      const run $ queue_arg $ script_arg $ weaken_arg $ probe_arg
-      $ scenario_arg $ refine_client_arg $ sim_client_arg $ mgc_depth_arg
-      $ trace_arg)
+      const run $ queue_arg
+      $ script Arg.value
+          "Decision script: comma-separated choices (from a report's \
+           counterexample)."
+      $ weaken
+          "Weaken a site while replaying (repeatable): $(b,site=mode) with \
+           an access mode ($(b,rlx), $(b,acq), $(b,rel), $(b,acq_rel)), a \
+           fence mode ($(b,fence_acq), ...), or $(b,drop) — the spec an \
+           audit counterexample prints."
+      $ struct_key ~probe:true Arg.value
+          "Replay against a registered structure's client scenario instead \
+           of the plain MP client (same scenarios the audit runs; see \
+           $(b,compass analyze))."
+      $ scenario_arg
+          "Scenario index within the structure's registered clients \
+           (default 0, the MP client)."
+      $ refine_client_arg $ sim_client_arg $ mgc_depth_arg $ trace_arg)
 
 (* -- fuzz ---------------------------------------------------------------------- *)
 
-let scenario_idx_arg =
-  let doc = "Scenario index within the structure's registered clients \
-             (default 0)." in
-  Arg.(value & opt int 0 & info [ "scenario" ] ~docv:"I" ~doc)
+let fuzz_scenario_doc =
+  "Scenario index within the structure's registered clients (default 0)."
 
 let fuzz_cmd =
   let mode_arg =
@@ -1388,18 +1335,14 @@ let fuzz_cmd =
   in
   let pct_depth =
     let doc = "PCT priority change points." in
-    Arg.(value & opt int 3 & info [ "pct-depth"; "d" ] ~docv:"D" ~doc)
+    Arg.(value & opt nonneg_int 3 & info [ "pct-depth"; "d" ] ~docv:"D" ~doc)
   in
   let pct_len =
     let doc =
       "Scheduling-decision count PCT samples change points over (0: \
        measure with a pilot execution)."
     in
-    Arg.(value & opt int 0 & info [ "pct-len" ] ~docv:"N" ~doc)
-  in
-  let fuzz_execs =
-    let doc = "Fuzzing execution budget." in
-    Arg.(value & opt pos_int 4000 & info [ "execs"; "e" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 0 & info [ "pct-len" ] ~docv:"N" ~doc)
   in
   let corpus_arg =
     let doc =
@@ -1412,71 +1355,59 @@ let fuzz_cmd =
     let doc = "Shrink the first violation before reporting (default on)." in
     Arg.(value & opt bool true & info [ "shrink" ] ~docv:"BOOL" ~doc)
   in
-  let expect_violation =
-    let doc =
-      "Invert the exit code: succeed only if a violation was found (for \
-       known-broken fixtures in CI)."
+  let run key scenario_idx mode depth len execs seed jobs corpus shrink json
+      expect =
+    let* e = lookup key in
+    let* mk = scenario e scenario_idx in
+    let corpus_in = Option.map Fz.Corpus.load corpus in
+    let options =
+      {
+        Fz.Fuzz.default_options with
+        mode;
+        execs;
+        seed;
+        jobs;
+        pct_depth = depth;
+        sched_len = len;
+        shrink;
+        corpus_in;
+      }
     in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
-  let run struct_key scenario_idx mode depth len execs seed jobs corpus shrink
-      json expect =
-    with_entry struct_key (fun e ->
-        match Specreg.scenario e scenario_idx with
-        | None ->
-            Format.eprintf "structure %s has no scenario %d@." struct_key
-              scenario_idx;
-            2
-        | Some mk ->
-            let corpus_in = Option.map Fz.Corpus.load corpus in
-            let options =
-              {
-                Fz.Fuzz.default_options with
-                mode;
-                execs;
-                seed;
-                jobs;
-                pct_depth = depth;
-                sched_len = len;
-                shrink;
-                corpus_in;
-              }
-            in
-            let o = Fz.Fuzz.run ~options mk in
-            Format.printf "%a@." Fz.Fuzz.pp_outcome o;
-            let confirmed =
-              match o.Fz.Fuzz.violations with
-              | [] -> false
-              | f :: _ -> (
-                  (* the reported (shrunk) script must still replay to the
-                     same violation *)
-                  let r =
-                    Explore.replay ~config:options.Fz.Fuzz.config (mk ())
-                      f.Explore.trace
-                  in
-                  match r.Explore.r_verdict with
-                  | Explore.Violation m when m = f.Explore.message ->
-                      Format.printf "replay confirms the violation@.";
-                      true
-                  | _ ->
-                      Format.printf
-                        "WARNING: replay does not reproduce the violation@.";
-                      false)
-            in
-            Option.iter
-              (fun file ->
-                Fz.Corpus.save o.Fz.Fuzz.corpus file;
-                Format.printf "corpus (%d entries) saved to %s@."
-                  (Fz.Corpus.size o.Fz.Fuzz.corpus)
-                  file)
-              corpus;
-            Option.iter
-              (fun file ->
-                write_json ~tool:"fuzz" ~seed file (Fz.Fuzz.outcome_to_json o))
-              json;
-            if expect then if confirmed then 0 else 1
-            else if o.Fz.Fuzz.violations = [] then 0
-            else 1)
+    let o = Fz.Fuzz.run ~options mk in
+    Format.printf "%a@." Fz.Fuzz.pp_outcome o;
+    let confirmed =
+      match o.Fz.Fuzz.violations with
+      | [] -> false
+      | f :: _ -> (
+          (* the reported (shrunk) script must still replay to the same
+             violation *)
+          let r =
+            Explore.replay ~config:options.Fz.Fuzz.config (mk ())
+              f.Explore.trace
+          in
+          match r.Explore.r_verdict with
+          | Explore.Violation m when m = f.Explore.message ->
+              Format.printf "replay confirms the violation@.";
+              true
+          | _ ->
+              Format.printf
+                "WARNING: replay does not reproduce the violation@.";
+              false)
+    in
+    Option.iter
+      (fun file ->
+        Fz.Corpus.save o.Fz.Fuzz.corpus file;
+        Format.printf "corpus (%d entries) saved to %s@."
+          (Fz.Corpus.size o.Fz.Fuzz.corpus)
+          file)
+      corpus;
+    Option.iter
+      (fun file ->
+        write_json ~tool:"fuzz" ~seed file (Fz.Fuzz.outcome_to_json o))
+      json;
+    if expect then if confirmed then 0 else 1
+    else if o.Fz.Fuzz.violations = [] then 0
+    else 1
   in
   let doc =
     "Schedule-fuzz a structure probe: sample executions under a search \
@@ -1487,92 +1418,52 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
-      const run $ struct_arg $ scenario_idx_arg $ mode_arg $ pct_depth
-      $ pct_len $ fuzz_execs $ seed $ jobs $ corpus_arg $ shrink_arg
-      $ json_arg $ expect_violation)
+      const run
+      $ struct_key Arg.required (struct_doc "Registered structure")
+      $ scenario_arg fuzz_scenario_doc
+      $ mode_arg $ pct_depth $ pct_len
+      $ execs ~default:4000 ~doc:"Fuzzing execution budget." ()
+      $ seed $ jobs $ corpus_arg $ shrink_arg $ json_arg
+      $ expect_violation
+          "Invert the exit code: succeed only if a violation was found (for \
+           known-broken fixtures in CI).")
 
 (* -- shrink -------------------------------------------------------------------- *)
 
 let shrink_cmd =
-  let script_arg =
-    let doc = "Violating decision script to shrink (comma-separated)." in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "script" ] ~docv:"N,N,..." ~doc)
-  in
-  let weaken_arg =
-    let doc =
-      "Shrink under mode overrides (repeatable): $(b,site=mode), as \
-       printed by audit counterexamples."
-    in
-    Arg.(value & opt_all string [] & info [ "weaken" ] ~docv:"SITE=MODE" ~doc)
-  in
-  let probe_arg =
-    let doc =
-      "Shrink against a registered structure's client scenario instead of \
-       the plain MP client."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "struct"; "probe" ] ~docv:"KEY" ~doc)
-  in
   let max_replays =
     let doc = "Replay budget for the shrinker." in
-    Arg.(value & opt int 20_000 & info [ "max-replays" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 20_000 & info [ "max-replays" ] ~docv:"N" ~doc)
   in
-  let run factory script_str weaken probe scenario_idx max_replays =
-    let script =
-      String.split_on_char ',' script_str
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string |> Array.of_list |> Decision.of_ints
+  let run factory script overrides key scenario_idx max_replays =
+    let* overrides = overrides in
+    let* mk =
+      match key with
+      | None -> Ok (mp_client factory)
+      | Some key -> Result.bind (lookup key) (fun e -> scenario e scenario_idx)
     in
-    match Override.of_specs weaken with
-    | Error e ->
-        Format.eprintf "bad --weaken spec: %s@." e;
-        2
-    | Ok overrides -> (
-        let mk =
-          match probe with
-          | None -> Some (fun () -> Mp.make factory (Mp.fresh_stats ()))
-          | Some key -> (
-              match Specreg.find key with
-              | Some e -> Specreg.scenario e scenario_idx
-              | None -> None)
+    let config = { Machine.default_config with overrides } in
+    let r = Explore.replay ~config (mk ()) script in
+    match r.Explore.r_verdict with
+    | Explore.Violation message ->
+        let stats, small =
+          Fz.Shrink.minimize ~config ~max_replays ~scenario:(mk ()) ~message
+            script
         in
-        match mk with
-        | None ->
-            Format.eprintf "unknown structure/scenario (try: %s)@."
-              (String.concat ", " (Specreg.keys ()));
-            2
-        | Some mk -> (
-            let config = { Machine.default_config with overrides } in
-            let r = Explore.replay ~config (mk ()) script in
-            match r.Explore.r_verdict with
-            | Explore.Violation message ->
-                let stats, small =
-                  Fz.Shrink.minimize ~config ~max_replays ~scenario:(mk ())
-                    ~message script
-                in
-                Format.printf
-                  "violation: %s@ script: %d -> %d choices in %d replays%s@ \
-                   shrunk: %s@."
-                  message stats.Fz.Shrink.initial_len
-                  stats.Fz.Shrink.final_len stats.Fz.Shrink.replays
-                  (if stats.Fz.Shrink.clamped > 0 then
-                     Printf.sprintf " (%d choices clamped)"
-                       stats.Fz.Shrink.clamped
-                   else "")
-                  (String.concat ","
-                     (List.map string_of_int
-                        (Array.to_list (Decision.choices small))));
-                0
-            | Explore.Pass | Explore.Discard _ ->
-                Format.eprintf
-                  "the script does not produce a violation — nothing to \
-                   shrink@.";
-                1))
+        Format.printf
+          "violation: %s@ script: %d -> %d choices in %d replays%s@ shrunk: \
+           %s@."
+          message stats.Fz.Shrink.initial_len stats.Fz.Shrink.final_len
+          stats.Fz.Shrink.replays
+          (if stats.Fz.Shrink.clamped > 0 then
+             Printf.sprintf " (%d choices clamped)" stats.Fz.Shrink.clamped
+           else "")
+          (script_string (Decision.choices small));
+        0
+    | Explore.Pass | Explore.Discard _ ->
+        Format.eprintf
+          "the script does not produce a violation — nothing to shrink@.";
+        1
   in
   let doc =
     "Delta-debug a violating decision script (e.g. from a fuzz or audit \
@@ -1581,8 +1472,17 @@ let shrink_cmd =
   in
   Cmd.v (Cmd.info "shrink" ~doc)
     Term.(
-      const run $ queue_arg $ script_arg $ weaken_arg $ probe_arg
-      $ scenario_idx_arg $ max_replays)
+      const run $ queue_arg
+      $ script Arg.required
+          "Violating decision script to shrink (comma-separated)."
+      $ weaken
+          "Shrink under mode overrides (repeatable): $(b,site=mode), as \
+           printed by audit counterexamples."
+      $ struct_key ~probe:true Arg.value
+          "Shrink against a registered structure's client scenario instead \
+           of the plain MP client."
+      $ scenario_arg fuzz_scenario_doc
+      $ max_replays)
 
 (* -- report ---------------------------------------------------------------------- *)
 
@@ -1600,7 +1500,7 @@ let report_cmd =
       Experiments.e7_paper_numbers;
     (* One-line synchronization-audit summary (full run: compass analyze
        modes --struct ms). *)
-    let e = Option.get (Specreg.find "ms") in
+    let* e = lookup "ms" in
     let options =
       (* reduction always: the summary needs complete explorations to
          tell over-strong from unknown within a sane budget *)
@@ -1618,7 +1518,7 @@ let report_cmd =
     if ok = List.length lines && ar.Audit.baseline_ok then 0 else 1
   in
   let doc = "Run the full experiment battery (E1-E8) and print paper-vs-measured." in
-  Cmd.v (Cmd.info "report" ~doc) Term.(const run $ quick $ jobs $ reduce)
+  Cmd.v (Cmd.info "report" ~doc) Term.(const run $ quick $ jobs $ reduce ())
 
 (* -- main ------------------------------------------------------------------------- *)
 

@@ -223,19 +223,3 @@ val pdfs :
     searches. *)
 
 val random : ?execs:int -> ?seed:int -> ?config:Machine.config -> scenario -> report
-
-type mode = Dfs of { max_execs : int } | Random of { execs : int; seed : int }
-
-val run :
-  ?config:Machine.config ->
-  ?jobs:int ->
-  ?reduce:Machine.reduction ->
-  ?incremental:bool ->
-  ?stride:int ->
-  ?until_violation:bool ->
-  mode:mode ->
-  scenario ->
-  report
-(** dispatch on [mode]: [Dfs] runs {!pdfs} with [jobs] (default 1),
-    [reduce], [incremental], [stride] and [until_violation]; random
-    sampling ignores them *)
