@@ -336,6 +336,15 @@ let write_json_file file json =
   print_string s;
   Format.printf "wrote %s@." file
 
+(* The host fields every timing ledger records, so rows taken on
+   different machines are not compared by mistake. *)
+let host_fields ?(forced_jobs = false) () =
+  [
+    ("recommended_domains", Jsonout.Int (Domain.recommended_domain_count ()));
+    ("forced_jobs", Jsonout.Bool forced_jobs);
+    ("ocaml", Jsonout.Str Sys.ocaml_version);
+  ]
+
 (* Timed run with allocation telemetry: wall clock plus [Gc.quick_stat]
    deltas (minor words allocated, major collections forced) — the
    flat-buffer core is judged on allocation per execution as much as on
@@ -622,11 +631,7 @@ let bench_explore ~quick ~check ~force_jobs =
         ("quick", Jsonout.Bool quick);
         ( "host",
           Jsonout.Obj
-            ([
-               ("recommended_domains", Jsonout.Int domains);
-               ("forced_jobs", Jsonout.Bool force_jobs);
-               ("ocaml", Jsonout.Str Sys.ocaml_version);
-             ]
+            (host_fields ~forced_jobs:force_jobs ()
             @
             (* Only rows forced past the host's domain count are
                correctness-only; a jobs=2 row on a 2-domain host is a
@@ -978,7 +983,8 @@ let bench_fuzz ~quick ~check =
    [first_violation] counter says how many mutants and executions each
    order spent before its first Necessary verdict.  The static analysis
    wall time is reported alongside: the prediction is only worth its
-   cost if it is cheap next to the exploration it saves.  [--check]
+   cost if it is cheap next to the exploration it saves.  The [analyze]
+   rows time [Static.analyze] on every registry entry.  [--check]
    exits nonzero unless the prioritized order reaches the first verdict
    in strictly fewer executions (and no more mutants) on every probe:
    the CI static-smoke gate. *)
@@ -1051,11 +1057,30 @@ let bench_static ~check =
             ] );
       ]
   in
+  let analyze_json (e : Compass_spec.Libspec.entry) =
+    let key = e.Compass_spec.Libspec.key in
+    let t0 = Unix.gettimeofday () in
+    let st = Static.analyze ~subject:key e.Compass_spec.Libspec.scenarios in
+    let t = Unix.gettimeofday () -. t0 in
+    Format.printf "%-10s Static.analyze %.2fs (%d paths)@." key t
+      st.Static.stats.Static.paths;
+    Jsonout.Obj
+      [
+        ("key", Jsonout.Str key);
+        ("seconds", Jsonout.Float t);
+        ("paths", Jsonout.Int st.Static.stats.Static.paths);
+        ("clean", Jsonout.Bool (Static.clean st));
+      ]
+  in
+  (* list literals evaluate right to left: run the probes first *)
+  let probes = List.map probe_json probes in
   let json =
     Jsonout.Obj
       [
+        ("host", Jsonout.Obj (host_fields ()));
         ("execs_per_mutant", Jsonout.Int options.Audit.execs);
-        ("probes", Jsonout.List (List.map probe_json probes));
+        ("probes", Jsonout.List probes);
+        ("analyze", Jsonout.List (List.map analyze_json (Specreg.all ())));
       ]
   in
   write_json_file "BENCH_static.json" json;

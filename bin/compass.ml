@@ -137,21 +137,29 @@ let reduction_conv =
   in
   Arg.conv (parse, print)
 
-(* Most subcommands explore unreduced by default; [sim] and [analyze]
-   default to sleep sets (see their docs). *)
-let reduce ?(default = Machine.RNone)
-    ?(doc =
-      "Partial-order reduction: $(b,sleep) (sleep sets: skip interleavings \
-       that only reorder independent steps), $(b,dpor) (source-DPOR with \
-       wakeup sequences: near one execution per Mazurkiewicz trace), \
-       $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted \
-       execution per distinct rf⊕mo class) or $(b,none).  Bare \
-       $(b,--reduce) means $(b,sleep).  Verdicts and violations are the \
-       same under all of them; only the execution count shrinks.") () =
+let reduce_doc =
+  "Partial-order reduction: $(b,sleep) (sleep sets: skip interleavings \
+   that only reorder independent steps), $(b,dpor) (source-DPOR with \
+   wakeup sequences: near one execution per Mazurkiewicz trace), \
+   $(b,dpor-rf) (source-DPOR plus the reads-from reduction: one counted \
+   execution per distinct rf⊕mo class) or $(b,none).  Bare \
+   $(b,--reduce) means $(b,sleep).  Verdicts and violations are the \
+   same under all of them; only the execution count shrinks."
+
+(* [--reduce] unset is [None], so a subcommand can pick its default
+   after parsing; [absent] documents that default. *)
+let reduce_opt ~absent ~doc =
   Arg.(
     value
-    & opt ~vopt:Machine.RSleep reduction_conv default
-    & info [ "reduce" ] ~docv:"RED" ~doc)
+    & opt ~vopt:(Some Machine.RSleep) (some reduction_conv) None
+    & info [ "reduce" ] ~docv:"RED" ~absent ~doc)
+
+(* Most subcommands explore unreduced by default; [sim] and [analyze]
+   default to sleep sets (see their docs), and [refine] picks its
+   default by method. *)
+let reduce ?(default = Machine.RNone) ?(doc = reduce_doc) () =
+  let absent = Format.asprintf "%a" (Arg.conv_printer reduction_conv) default in
+  Term.(const (Option.value ~default) $ reduce_opt ~absent ~doc)
 
 let sleep_default_doc =
   "Partial-order reduction (default $(b,sleep); $(b,dpor) switches to \
@@ -711,11 +719,19 @@ let refine_cmd =
           `Outcomes
       & info [ "method" ] ~docv:"METHOD" ~doc)
   in
+  (* Unset, [--reduce] follows the method: outcome inclusion explores
+     unreduced, simulation uses sleep sets exactly as [sim] does. *)
+  let refine_reduce =
+    reduce_opt ~doc:reduce_doc
+      ~absent:"$(b,none) for $(b,--method=outcomes), $(b,sleep) for \
+               $(b,--method=simulation)"
+  in
   let run key execs jobs reduce meth depth strict json expect =
     let* e = lookup key in
     let* () = refinable e in
     match meth with
     | `Outcomes ->
+        let reduce = Option.value reduce ~default:Machine.RNone in
         let options =
           { Refine.default_options with max_execs = execs; jobs; reduce }
         in
@@ -737,7 +753,7 @@ let refine_cmd =
             mgc_depth = depth;
             max_execs = execs;
             jobs;
-            reduce;
+            reduce = Option.value reduce ~default:Machine.RSleep;
           }
         in
         simulate ~tool:"refine" ~options ~strict ~expect ~json [ e ]
@@ -756,7 +772,7 @@ let refine_cmd =
     Term.(
       const run
       $ struct_key Arg.required (struct_doc "Registered structure")
-      $ execs () $ jobs $ reduce () $ method_arg $ mgc_depth_arg $ strict_arg
+      $ execs () $ jobs $ refine_reduce $ method_arg $ mgc_depth_arg $ strict_arg
       $ json_arg
       $ expect_violation
           "Invert the exit code: succeed only if refinement fails (for \

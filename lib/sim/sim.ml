@@ -262,8 +262,9 @@ let pp ppf r =
         "  witness: client %s, script %s (shrunk from %d choices in %d \
          replays)@,"
         w.w_client
-        (String.concat ","
-           (List.map string_of_int (Array.to_list (Decision.choices w.w_trace))))
+        (match Array.to_list (Decision.choices w.w_trace) with
+        | [] -> "''"
+        | cs -> String.concat "," (List.map string_of_int cs))
         w.w_raw_len w.w_replays;
       (match w.w_detail with
       | Some d ->

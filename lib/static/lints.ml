@@ -95,6 +95,45 @@ let cloc_key (e : Sym.ev) = Option.map Loc.key e.Sym.cloc
    Anything else is a publication defect, attributed to the publishing
    site (with the unguarded reader as partner when one is known). *)
 let publication hyp ~scenario (paths : Sym.path list) =
+  (* The scan for an unguarded reader depends only on the publishing
+     thread, the published-to location and the set of signal locations,
+     and many publications share them. *)
+  let readers = Hashtbl.create 16 in
+  let unguarded_reader tid ploc signals =
+    let key = (tid, ploc, List.sort compare signals) in
+    match Hashtbl.find_opt readers key with
+    | Some r -> r
+    | None ->
+        let r =
+          List.find_map
+            (fun (q : Sym.path) ->
+              if q.Sym.tid = tid then None
+              else
+                let qn = Array.length q.Sym.events in
+                let rec go i =
+                  if i >= qn then None
+                  else
+                    let e = q.Sym.events.(i) in
+                    if is_read e && cloc_key e = Some ploc then
+                      let rec pre j =
+                        j < i
+                        && ((is_read q.Sym.events.(j)
+                            && acquires hyp q.Sym.events.(j)
+                            &&
+                            match cloc_key q.Sym.events.(j) with
+                            | Some k -> List.mem k signals
+                            | None -> false)
+                           || pre (j + 1))
+                      in
+                      if pre 0 then go (i + 1) else Some (Sym.site_key q e)
+                    else go (i + 1)
+                in
+                go 0)
+            paths
+        in
+        Hashtbl.replace readers key r;
+        r
+  in
   List.concat_map
     (fun (p : Sym.path) ->
       let evs = p.Sym.events in
@@ -182,39 +221,7 @@ let publication hyp ~scenario (paths : Sym.path list) =
                           | Some k -> k
                           | None -> -1
                         in
-                        let offending =
-                          List.find_map
-                            (fun (q : Sym.path) ->
-                              if q.Sym.tid = p.Sym.tid then None
-                              else
-                                let qn = Array.length q.Sym.events in
-                                let rec go i =
-                                  if i >= qn then None
-                                  else
-                                    let e = q.Sym.events.(i) in
-                                    if
-                                      is_read e && cloc_key e = Some ploc
-                                    then
-                                      let rec pre j =
-                                        j < i
-                                        && ((is_read q.Sym.events.(j)
-                                            && acquires hyp q.Sym.events.(j)
-                                            && (match
-                                                  cloc_key q.Sym.events.(j)
-                                                with
-                                               | Some k ->
-                                                   List.mem k !signals
-                                               | None -> false))
-                                           || pre (j + 1))
-                                      in
-                                      if pre 0 then go (i + 1)
-                                      else Some (Sym.site_key q e)
-                                    else go (i + 1)
-                                in
-                                go 0)
-                            paths
-                        in
-                        (match offending with
+                        (match unguarded_reader p.Sym.tid ploc !signals with
                         | None -> None
                         | Some reader ->
                             flag (Some reader)

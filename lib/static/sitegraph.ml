@@ -90,17 +90,17 @@ let build (paths : Sym.path list) : t =
           match e.Sym.cloc with
           | None -> ()
           | Some cl ->
-              let name = Format.asprintf "%a" Loc.pp cl in
-              if not (List.mem name a.ls) then a.ls <- name :: a.ls;
+              (* the name is formatted once per location, not per event *)
               let lk = Loc.key cl in
-              let _, occs =
+              let name, occs =
                 match Hashtbl.find_opt locs lk with
                 | Some x -> x
                 | None ->
-                    let x = (name, ref []) in
+                    let x = (Format.asprintf "%a" Loc.pp cl, ref []) in
                     Hashtbl.replace locs lk x;
                     x
               in
+              if not (List.mem name a.ls) then a.ls <- name :: a.ls;
               if not (List.mem (key, p.Sym.tid) !occs) then
                 occs := (key, p.Sym.tid) :: !occs)
         p.Sym.events)
